@@ -4,7 +4,7 @@
 Usage:
     python scripts/reproduce_figures.py [--outdir results] [--trials N] [--seed S]
 
-Full fidelity (10,000 trials per cell) takes around half a minute; pass a
+Full fidelity (10,000 trials per cell) takes about a second; pass a
 smaller --trials for a quick look.
 """
 

@@ -43,6 +43,7 @@ from .harness import (
     estimate_mse,
     generate_dataset,
     preset_config,
+    squared_errors,
     sweep,
     worst_case_over_family,
 )
@@ -60,6 +61,7 @@ from .mechanisms import (
     estimate_transformed,
     exact_aggregates,
     noise_scales,
+    noisy_estimate,
     run_mechanism,
     true_mean,
 )
@@ -71,6 +73,8 @@ from .noise import (
     derive_stream,
     laplace_from_uniform,
     laplace_sample,
+    open_uniform_pairs,
+    philox_first_words,
     two_sided_geometric_from_uniform,
     two_sided_geometric_sample,
 )

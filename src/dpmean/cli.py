@@ -92,18 +92,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     try:
         d = BoundedDataset(tuple(values), args.lower, args.upper)
         eps = PrivacyBudget(args.epsilon)
+        stream = RandomStream(args.seed if args.seed is not None else _entropy_seed(), 0)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    seed = args.seed if args.seed is not None else _entropy_seed()
     mechanism = Mechanism(args.mechanism)
     # Exactly one mechanism invocation: no retries, or the guarantee degrades.
-    estimate = run_mechanism(d, eps, mechanism, RandomStream(seed, 0))
+    estimate = run_mechanism(d, eps, mechanism, stream)
+    # No seed in the record: whoever knows it can subtract the noise.
     record = {
         "mechanism": mechanism.value,
         "epsilon": eps.epsilon,
         "n_is_private": True,
         "estimate": estimate.value,
-        "seed": seed,
         "bounds": [args.lower, args.upper],
     }
     print(json.dumps(record))
@@ -247,7 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[m.value for m in Mechanism],
         default=Mechanism.TRANSFORMED.value,
     )
-    p_est.add_argument("--seed", type=int, default=None, help="64-bit seed; default: entropy")
+    p_est.add_argument(
+        "--seed", type=int, default=None,
+        help="64-bit seed, a secret: it determines the noise; default: entropy",
+    )
     p_est.set_defaults(func=cmd_estimate)
 
     p_bounds = sub.add_parser("bounds", help="print analytic error bound table")

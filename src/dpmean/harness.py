@@ -4,11 +4,18 @@ ones-over-zeros dataset family.
 
 Determinism contract
 --------------------
-Trial t of a cell seeded with s draws from stream (s, t); sweep cell i
-derives its seed from the experiment seed with a SplitMix64 step (documented
-in _derived_seed).  Per-trial squared errors are assembled into an array in
-trial order and reduced with numpy's pairwise summation, so results are
-bit-identical regardless of worker count.
+Trial t of a cell seeded with s draws from stream (s, t): its estimate is
+exactly ``run_mechanism(d, eps, mechanism, RandomStream(s, t))``.  Sweep
+cell i derives its seed from the experiment seed with a SplitMix64 step
+(documented in _derived_seed).
+
+Trials are evaluated as arrays, one cell at a time: the first two uniforms
+of every trial stream come from one counter-based Philox kernel
+(``noise.open_uniform_pairs``), then the Laplace inverse CDF, the estimator
+and the squared error run elementwise through the same functions a single
+release uses.  Per-trial squared errors are assembled in trial order and
+reduced with numpy's pairwise summation, so results are bit-identical
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -26,10 +33,20 @@ from .mechanisms import (
     BoundedDataset,
     Mechanism,
     PrivacyBudget,
-    run_mechanism,
+    noise_scales,
+    noisy_estimate,
+    run_mechanism,  # noqa: F401  (per-trial form of _estimates; perfbench/tracing.py patches it here)
     true_mean,
 )
-from .noise import Cursor, GeometricParams, RandomStream, two_sided_geometric_sample
+from .noise import (
+    Cursor,
+    GeometricParams,
+    RandomStream,
+    laplace_from_uniform,
+    open_uniform_pairs,
+    two_sided_geometric_from_uniform,
+    two_sided_geometric_sample,  # noqa: F401  (per-trial form of the geometric draws; patched likewise)
+)
 
 CSV_HEADER = "mechanism,epsilon,dataset_kind,n,target_mean,trials,mse,normalized_mse,stderr,seed"
 
@@ -133,6 +150,19 @@ class MseReport:
     seed: int
 
 
+def _estimates(
+    d: BoundedDataset, eps: PrivacyBudget, mechanism: Mechanism, seed: int, lo: int, hi: int
+) -> np.ndarray:
+    """Estimates of trials lo..hi-1: entry t - lo is run_mechanism on
+    stream (seed, t), evaluated for all trials at once."""
+    u_a, u_b = open_uniform_pairs(seed, np.arange(lo, hi, dtype=np.uint64))
+    scale_a, scale_b = noise_scales(d, mechanism, eps)
+    _, _, values = noisy_estimate(
+        d, mechanism, laplace_from_uniform(u_a, scale_a), laplace_from_uniform(u_b, scale_b)
+    )
+    return values
+
+
 def _squared_errors(
     d: BoundedDataset,
     mechanism,
@@ -143,33 +173,32 @@ def _squared_errors(
     hi: int,
     out: np.ndarray,
 ) -> None:
-    estimate = (
-        (lambda cur: run_mechanism(d, eps, mechanism, cur).value)
-        if isinstance(mechanism, Mechanism)
-        else (lambda cur: mechanism(d, eps, cur))
-    )
+    if isinstance(mechanism, Mechanism):
+        err = _estimates(d, eps, mechanism, seed, lo, hi) - mu
+        out[lo:hi] = err * err
+        return
     cursor = Cursor(RandomStream(seed, lo))
     for t in range(lo, hi):
         cursor.jump_to(RandomStream(seed, t))
-        err = estimate(cursor) - mu
+        err = mechanism(d, eps, cursor) - mu
         out[t] = err * err
 
 
-def estimate_mse(
+def squared_errors(
     d: BoundedDataset,
     mechanism,
     eps: PrivacyBudget,
     trials: int,
     seed: int,
     workers: int = 1,
-    dataset_spec: DatasetSpec | None = None,
-) -> MseReport:
-    """Monte-Carlo MSE of one mechanism on one dataset.
+) -> np.ndarray:
+    """Per-trial squared errors (estimate - true mean)^2, in trial order.
 
-    Trial t draws its noise from stream (seed, t).  ``stderr`` is the sample
-    standard deviation of the squared errors divided by sqrt(trials) (zero
-    when trials == 1).  ``mechanism`` is a Mechanism, or -- for testing the
-    estimator machinery itself -- any callable (dataset, eps, cursor) -> float.
+    Trial t draws its noise from stream (seed, t).  ``mechanism`` is a
+    Mechanism, or -- for testing the estimator machinery itself -- any
+    callable (dataset, eps, cursor) -> float, which is called once per
+    trial.  ``workers > 1`` splits the trials into contiguous spans computed
+    on threads; the array is the same for every worker count.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -189,6 +218,27 @@ def estimate_mse(
             ]
             for f in futures:
                 f.result()
+    return sq
+
+
+def estimate_mse(
+    d: BoundedDataset,
+    mechanism,
+    eps: PrivacyBudget,
+    trials: int,
+    seed: int,
+    workers: int = 1,
+    dataset_spec: DatasetSpec | None = None,
+) -> MseReport:
+    """Monte-Carlo MSE of one mechanism on one dataset.
+
+    The squared errors are those of ``squared_errors``.  ``stderr`` is their
+    sample standard deviation divided by sqrt(trials) (zero when
+    trials == 1).
+    """
+    if isinstance(mechanism, str):
+        mechanism = Mechanism(mechanism)
+    sq = squared_errors(d, mechanism, eps, trials, seed, workers)
     mse = float(np.sum(sq)) / trials
     stderr = float(np.std(sq, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
     n = len(d)
@@ -255,24 +305,16 @@ def worst_case_over_family(
         raise ValueError("family needs k >= 1 members")
     worst = -math.inf
     geometric = mechanism == GEOMETRIC_COUNT
-    params = GeometricParams(math.exp(-eps.epsilon)) if geometric else None
+    alpha = GeometricParams(math.exp(-eps.epsilon)).alpha if geometric else None
     for i in range(1, k + 1):
         member_seed = _derived_seed(seed, i - 1)
-        sq = np.empty(trials, dtype=np.float64)
-        cursor = Cursor(RandomStream(member_seed, 0))
         if geometric:
-            for t in range(trials):
-                cursor.jump_to(RandomStream(member_seed, t))
-                z = two_sided_geometric_sample(cursor, params)
-                sq[t] = float(z) * float(z)
+            u, _ = open_uniform_pairs(member_seed, np.arange(trials, dtype=np.uint64))
+            err = two_sided_geometric_from_uniform(u, alpha).astype(np.float64)
         else:
             d = generate_dataset(family_member_spec(n, i))
-            for t in range(trials):
-                cursor.jump_to(RandomStream(member_seed, t))
-                est = run_mechanism(d, eps, mechanism, cursor).value
-                err = n * est - i
-                sq[t] = err * err
-        worst = max(worst, float(np.sum(sq)) / trials)
+            err = n * _estimates(d, eps, Mechanism(mechanism), member_seed, 0, trials) - i
+        worst = max(worst, float(np.sum(err * err)) / trials)
     return worst
 
 

@@ -15,8 +15,12 @@ form a ratio, and clip into the known range.
   numerator noise, which halves the mean squared error of the shifted
   estimator at matched budget.
 
-Noise is always injected as an explicit NoisePair so behaviour is exactly
-testable; run_mechanism is the only sampling wrapper.
+Each estimator is one elementwise function of the noise (``noisy_estimate``):
+it takes scalar noise or arrays of noise, one entry per trial, so the
+Monte-Carlo harness evaluates many trials at once with the very arithmetic a
+single release uses.  Noise is always injected explicitly (a NoisePair, or
+arrays) so behaviour is exactly testable; run_mechanism is the only sampling
+wrapper.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .noise import Cursor, LaplaceParams, RandomStream, laplace_sample
 
@@ -130,13 +136,22 @@ class MeanEstimate:
     noisy_aggregates: AggregateVector
 
 
-def clip(x: float, lo: float, hi: float) -> float:
-    """max(lo, min(x, hi)); NaN maps to the interval midpoint."""
+def _clip(x, lo: float, hi: float):
+    """``clip``, elementwise on arrays (a scalar gives a float).  The
+    estimators call this directly; ``clip`` is the scalar entry point, which
+    callers may wrap with scalar-only code (perfbench counts clips so)."""
     if lo > hi:
         raise ValueError(f"clip range is empty: [{lo}, {hi}]")
-    if math.isnan(x):
-        return (lo + hi) / 2.0
-    return max(lo, min(x, hi))
+    x = np.asarray(x, dtype=np.float64)
+    below = np.where(hi < x, hi, x)
+    out = np.where(np.isnan(x), (lo + hi) / 2.0, np.where(below > lo, below, lo))
+    return out if out.ndim else float(out)
+
+
+def clip(x: float, lo: float, hi: float) -> float:
+    """max(lo, min(x, hi)) with Python's tie rules (a signed zero equal to
+    lo maps to lo); NaN maps to the interval midpoint."""
+    return _clip(x, lo, hi)
 
 
 def true_mean(d: BoundedDataset) -> float:
@@ -146,14 +161,13 @@ def true_mean(d: BoundedDataset) -> float:
     return d.total / len(d)
 
 
-def _ratio(num: float, den: float) -> float:
-    # Zero denominators resolve to sign(num)*inf so the estimate clips to a
-    # range endpoint; 0/0 resolves to NaN, which clips to the midpoint.
-    if den == 0.0:
-        if num == 0.0 or math.isnan(num):
-            return math.nan
-        return math.copysign(math.inf, num)
-    return num / den
+def _ratio(num, den):
+    # Zero denominators of either sign resolve to sign(num)*inf so the
+    # estimate clips to a range endpoint; 0/0 resolves to NaN, which clips to
+    # the midpoint.  Adding +0.0 turns -0.0 into +0.0 and leaves every other
+    # denominator unchanged.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(num, den + 0.0)
 
 
 def exact_aggregates(d: BoundedDataset, mechanism: Mechanism) -> AggregateVector:
@@ -181,56 +195,65 @@ def noise_scales(d: BoundedDataset, mechanism: Mechanism, eps: PrivacyBudget) ->
     return 1.0 / e, 1.0 / e
 
 
-def estimate_independent(d: BoundedDataset, eps: PrivacyBudget, noise: NoisePair) -> MeanEstimate:
-    """Clipped ratio of separately noised sum and count."""
+def _independent(d: BoundedDataset, za, zb):
+    s_hat = d.total + za
+    n_hat = len(d) + zb
+    return s_hat, n_hat, _clip(_ratio(s_hat, n_hat), d.lower, d.upper)
+
+
+def _shifted(d: BoundedDataset, za, zb):
+    half_w = d.width / 2.0
+    s_hat = d.shifted_total + za
+    n_hat = len(d) + zb
+    return s_hat, n_hat, _clip(_ratio(s_hat, n_hat), -half_w, half_w) + d.midpoint
+
+
+def _transformed(d: BoundedDataset, za, zb):
+    s1 = d.scaled_total
+    s1_hat = s1 + za
+    s2_hat = (len(d) - s1) + zb
+    ratio = _clip(_ratio(s1_hat, s1_hat + s2_hat), 0.0, 1.0)
+    return s1_hat, s2_hat, d.width * ratio + d.lower
+
+
+_ESTIMATORS = {
+    Mechanism.INDEPENDENT: (_independent, AggregateKind.SUM_COUNT),
+    Mechanism.SHIFTED: (_shifted, AggregateKind.SHIFTED_SUM_COUNT),
+    Mechanism.TRANSFORMED: (_transformed, AggregateKind.TRANSFORMED_PAIR),
+}
+
+
+def noisy_estimate(d: BoundedDataset, mechanism: Mechanism, za, zb):
+    """The mechanism's noisy aggregate pair and clipped estimate for noise
+    (za, zb), elementwise: scalars or equal-shape arrays, one entry per
+    trial.  Returns (first, second, estimate); see ``estimate_*`` for what
+    each mechanism computes."""
     if len(d) == 0:
         raise ValueError("cannot estimate the mean of an empty dataset")
-    s_hat = d.total + noise.za
-    n_hat = len(d) + noise.zb
-    value = clip(_ratio(s_hat, n_hat), d.lower, d.upper)
-    return MeanEstimate(
-        value,
-        Mechanism.INDEPENDENT,
-        AggregateVector(s_hat, n_hat, AggregateKind.SUM_COUNT),
-    )
+    estimator, _ = _ESTIMATORS[Mechanism(mechanism)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        return estimator(d, za, zb)
+
+
+def _mean_estimate(d: BoundedDataset, mechanism: Mechanism, noise: NoisePair) -> MeanEstimate:
+    first, second, value = noisy_estimate(d, mechanism, noise.za, noise.zb)
+    kind = _ESTIMATORS[mechanism][1]
+    return MeanEstimate(float(value), mechanism, AggregateVector(float(first), float(second), kind))
+
+
+def estimate_independent(d: BoundedDataset, eps: PrivacyBudget, noise: NoisePair) -> MeanEstimate:
+    """Clipped ratio of separately noised sum and count."""
+    return _mean_estimate(d, Mechanism.INDEPENDENT, noise)
 
 
 def estimate_shifted(d: BoundedDataset, eps: PrivacyBudget, noise: NoisePair) -> MeanEstimate:
     """Clipped ratio of noised midpoint-shifted sum and count, shifted back."""
-    if len(d) == 0:
-        raise ValueError("cannot estimate the mean of an empty dataset")
-    half_w = d.width / 2.0
-    s_hat = d.shifted_total + noise.za
-    n_hat = len(d) + noise.zb
-    value = clip(_ratio(s_hat, n_hat), -half_w, half_w) + d.midpoint
-    return MeanEstimate(
-        value,
-        Mechanism.SHIFTED,
-        AggregateVector(s_hat, n_hat, AggregateKind.SHIFTED_SUM_COUNT),
-    )
+    return _mean_estimate(d, Mechanism.SHIFTED, noise)
 
 
 def estimate_transformed(d: BoundedDataset, eps: PrivacyBudget, noise: NoisePair) -> MeanEstimate:
     """Clipped ratio of the noised scaled-sum pair, mapped back to [lower, upper]."""
-    if len(d) == 0:
-        raise ValueError("cannot estimate the mean of an empty dataset")
-    s1 = d.scaled_total
-    s2 = len(d) - s1
-    s1_hat = s1 + noise.za
-    s2_hat = s2 + noise.zb
-    ratio = clip(_ratio(s1_hat, s1_hat + s2_hat), 0.0, 1.0)
-    return MeanEstimate(
-        d.width * ratio + d.lower,
-        Mechanism.TRANSFORMED,
-        AggregateVector(s1_hat, s2_hat, AggregateKind.TRANSFORMED_PAIR),
-    )
-
-
-_ESTIMATORS = {
-    Mechanism.INDEPENDENT: estimate_independent,
-    Mechanism.SHIFTED: estimate_shifted,
-    Mechanism.TRANSFORMED: estimate_transformed,
-}
+    return _mean_estimate(d, Mechanism.TRANSFORMED, noise)
 
 
 def run_mechanism(
@@ -242,7 +265,9 @@ def run_mechanism(
     """Draw the mechanism's noise pair (za first, then zb) and estimate.
 
     Accepts either a stream descriptor (a fresh cursor is opened) or an
-    already-positioned cursor, so sweep loops can reuse one cursor.
+    already-positioned cursor.  The harness evaluates trial t of a cell
+    seeded s as this function on stream (s, t), with arrays in place of the
+    two draws.
     """
     mechanism = Mechanism(mechanism)
     cursor = stream.cursor() if isinstance(stream, RandomStream) else stream
@@ -251,4 +276,4 @@ def run_mechanism(
         laplace_sample(cursor, LaplaceParams(scale_a)),
         laplace_sample(cursor, LaplaceParams(scale_b)),
     )
-    return _ESTIMATORS[mechanism](d, eps, noise)
+    return _mean_estimate(d, mechanism, noise)

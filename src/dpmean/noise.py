@@ -3,7 +3,7 @@
 Reproducibility contract
 ------------------------
 A stream is identified by a ``(seed, stream_id)`` pair of 64-bit unsigned
-integers.  Draws come from a Philox4x64 counter-based generator keyed with
+integers.  Draws come from a Philox4x64-10 counter-based generator keyed with
 exactly those two words (``key = [seed, stream_id]``, counter starting at
 zero), with uniforms produced by numpy's ``Generator.random()`` (one 64-bit
 word per double, top 53 bits).  Distinct key words give statistically
@@ -12,7 +12,15 @@ platform.
 
 Both distributions are sampled by inverse CDF on a single uniform draw from
 the open interval (0, 1); a uniform equal to 0.0 is rejected and redrawn so
-the Laplace transform can never return an infinity.
+the Laplace transform can never return an infinity.  The inverse CDFs
+(``laplace_from_uniform``, ``two_sided_geometric_from_uniform``) take
+scalars or arrays, and the scalar samplers evaluate through them, so a
+scalar draw and an array draw from the same uniform are bit-identical.
+
+Because Philox is counter-based, the first block of many streams can be
+computed at once: ``open_uniform_pairs`` returns, as arrays, the first two
+open-interval uniforms of every stream ``(seed, id)`` in a batch of ids,
+exactly as two ``Cursor.uniform_open()`` calls on each stream would.
 """
 
 from __future__ import annotations
@@ -23,6 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 _UINT64_MAX = 2**64 - 1
+
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al.,
+# "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11), as in numpy.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_SHIFT_DOUBLE = np.uint64(11)  # Generator.random() keeps the top 53 bits
 
 
 @dataclass(frozen=True)
@@ -127,8 +144,9 @@ def laplace_from_uniform(u, scale):
     """Map uniform(0,1) draws through the Laplace inverse CDF.
 
     x = -scale * sign(u - 1/2) * log(1 - 2|u - 1/2|).  Accepts scalars or
-    arrays; vectorized evaluation may differ from the scalar sampler in the
-    last ulp.
+    arrays and evaluates elementwise with numpy's ``log1p`` either way, so
+    ``laplace_sample`` (which calls this on one uniform) and an array
+    evaluation agree bit for bit.
     """
     t = np.asarray(u, dtype=np.float64) - 0.5
     x = -scale * np.sign(t) * np.log1p(-2.0 * np.abs(t))
@@ -137,11 +155,7 @@ def laplace_from_uniform(u, scale):
 
 def laplace_sample(cursor: Cursor, params: LaplaceParams) -> float:
     """One Laplace draw by inverse CDF on one uniform."""
-    t = cursor.uniform_open() - 0.5
-    if t == 0.0:
-        return 0.0
-    mag = -params.scale * math.log1p(-2.0 * abs(t))
-    return mag if t > 0.0 else -mag
+    return laplace_from_uniform(cursor.uniform_open(), params.scale)
 
 
 def two_sided_geometric_from_uniform(u, alpha):
@@ -162,9 +176,62 @@ def two_sided_geometric_from_uniform(u, alpha):
 
 def two_sided_geometric_sample(cursor: Cursor, params: GeometricParams) -> int:
     """One two-sided geometric draw by inverse CDF on one uniform."""
-    alpha = params.alpha
-    u = cursor.uniform_open()
-    log_alpha = math.log(alpha)
-    if u * (1.0 + alpha) <= alpha:
-        return math.ceil(-math.log(u * (1.0 + alpha)) / log_alpha)
-    return max(0, math.ceil(math.log((1.0 - u) * (1.0 + alpha)) / log_alpha - 1.0))
+    return two_sided_geometric_from_uniform(cursor.uniform_open(), params.alpha)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the 128-bit products m * x.
+
+    numpy has no 128-bit integers, so the high half is assembled from
+    32x32-bit partial products (Hacker's Delight, mulhu); no intermediate
+    overflows 64 bits.
+    """
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    t = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
+    u = x_lo * m_hi + (t & _LOW32)
+    hi = x_hi * m_hi + (t >> _SHIFT32) + (u >> _SHIFT32)
+    return hi, x * np.uint64(m)
+
+
+def philox_first_words(seed: int, stream_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Words 0 and 1 of the first output block of every stream (seed, id).
+
+    This is Philox4x64-10 evaluated elementwise on uint64 arrays, with key
+    ``[seed, id]`` and counter ``[1, 0, 0, 0]``: numpy's Philox increments
+    its zero-initialised counter before generating, so these are the first
+    two 64-bit words that ``np.random.Philox(key=[seed, id])`` produces.
+    """
+    if not 0 <= seed <= _UINT64_MAX:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    k0 = int(seed)
+    k1 = np.asarray(stream_ids, dtype=np.uint64)
+    c0 = np.ones_like(k1)
+    c1 = c2 = c3 = np.zeros_like(k1)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _UINT64_MAX
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1
+
+
+def open_uniform_pairs(seed: int, stream_ids) -> tuple[np.ndarray, np.ndarray]:
+    """The first two ``Cursor.uniform_open()`` draws of every stream
+    (seed, id), as two float64 arrays.
+
+    Both come from the stream's first Philox block.  A stream whose block
+    holds a zero uniform (probability 2^-53 per word) is drawn by a scalar
+    cursor instead, which redraws exactly as ``uniform_open`` does.
+    """
+    ids = np.asarray(stream_ids, dtype=np.uint64)
+    w0, w1 = philox_first_words(seed, ids)
+    u0 = (w0 >> _SHIFT_DOUBLE).astype(np.float64) * 2.0**-53
+    u1 = (w1 >> _SHIFT_DOUBLE).astype(np.float64) * 2.0**-53
+    for i in np.flatnonzero((u0 == 0.0) | (u1 == 0.0)):
+        cursor = Cursor(RandomStream(int(seed), int(ids[i])))
+        u0[i] = cursor.uniform_open()
+        u1[i] = cursor.uniform_open()
+    return u0, u1

@@ -33,7 +33,7 @@ class TestEstimate:
         )
         assert code == 0
         record = json.loads(out)
-        assert set(record) == {"mechanism", "epsilon", "n_is_private", "estimate", "seed", "bounds"}
+        assert set(record) == {"mechanism", "epsilon", "n_is_private", "estimate", "bounds"}
         assert record["mechanism"] == "transformed"
         assert record["n_is_private"] is True
         assert 0.0 <= record["estimate"] <= 1.0
@@ -48,14 +48,25 @@ class TestEstimate:
         _, out2, _ = run(argv, capsys)
         assert out1 == out2
 
-    def test_entropy_seed_echoed_when_omitted(self, data_file, capsys):
-        code, out, _ = run(
+    def test_seed_never_in_record(self, data_file, capsys):
+        # the seed fixes the noise pair, so publishing it voids the guarantee
+        base = ["estimate", "--input", str(data_file), "--lower", "0", "--upper", "1",
+                "--epsilon", "0.5"]
+        for argv in (base, base + ["--seed", "4"]):
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            assert "seed" not in json.loads(out)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_rejected(self, data_file, seed, capsys):
+        code, out, err = run(
             ["estimate", "--input", str(data_file), "--lower", "0", "--upper", "1",
-             "--epsilon", "0.5"],
+             "--epsilon", "0.5", "--seed", seed],
             capsys,
         )
-        assert code == 0
-        assert isinstance(json.loads(out)["seed"], int)
+        assert code == 2
+        assert out == ""
+        assert "unsigned 64-bit" in err and "internal error" not in err
 
     def test_mechanisms_generally_differ_on_same_seed(self, tmp_path, capsys):
         path = tmp_path / "many.txt"

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from dpmean.bounds import geometric_count_variance, mechanism_mse_bound
@@ -19,10 +20,12 @@ from dpmean.harness import (
     preset_config,
     preset_family_k,
     reports_to_csv,
+    squared_errors,
     sweep,
     worst_case_over_family,
 )
-from dpmean.mechanisms import BoundedDataset, Mechanism, PrivacyBudget, true_mean
+from dpmean.mechanisms import BoundedDataset, Mechanism, PrivacyBudget, run_mechanism, true_mean
+from dpmean.noise import GeometricParams, RandomStream, two_sided_geometric_sample
 
 EPS = PrivacyBudget(0.5)
 GATE_SEED = 20240601
@@ -107,6 +110,20 @@ class TestEstimateMse:
             par = estimate_mse(d, Mechanism.TRANSFORMED, EPS, 997, 7, workers=w)
             assert par.mse == base.mse
             assert par.stderr == base.stderr
+
+    @pytest.mark.parametrize("mech", list(Mechanism))
+    def test_trials_equal_scalar_release_path(self, mech):
+        # trial t of the array engine is run_mechanism on stream (seed, t)
+        d = generate_dataset(DatasetSpec(DatasetKind.TWO_POINT, 300, 0.02, (0.0, 1.0)))
+        eps = PrivacyBudget(0.2)
+        mu = true_mean(d)
+        expected = []
+        for t in range(997):
+            err = run_mechanism(d, eps, mech, RandomStream(8128, t)).value - mu
+            expected.append(err * err)
+        for workers in (1, 3):
+            sq = squared_errors(d, mech, eps, 997, 8128, workers=workers)
+            assert sq.tolist() == expected
 
     def test_statistical_gate_transformed_center(self):
         d = generate_dataset(DatasetSpec(DatasetKind.CONSTANT, 1000, 0.5, (0.0, 1.0)))
@@ -259,6 +276,26 @@ class TestWorstCaseFamily:
         small = worst_case_over_family(Mechanism.TRANSFORMED, EPS, 500, 1, 2000, 13)
         big = worst_case_over_family(Mechanism.TRANSFORMED, EPS, 500, 5, 2000, 13)
         assert big >= small
+
+    def test_matches_scalar_loop(self):
+        n, k, trials, seed = 200, 3, 300, 13
+
+        def scalar_worst(draw):
+            worst = -math.inf
+            for i in range(1, k + 1):
+                member_seed = _derived_seed(seed, i - 1)
+                errs = [draw(i, RandomStream(member_seed, t)) for t in range(trials)]
+                sq = np.array([e * e for e in errs])
+                worst = max(worst, float(np.sum(sq)) / trials)
+            return worst
+
+        geo = GeometricParams(math.exp(-EPS.epsilon))
+        expected = scalar_worst(lambda i, s: float(two_sided_geometric_sample(s.cursor(), geo)))
+        assert worst_case_over_family(GEOMETRIC_COUNT, EPS, n, k, trials, seed) == expected
+        members = {i: generate_dataset(family_member_spec(n, i)) for i in range(1, k + 1)}
+        for mech in Mechanism:
+            expected = scalar_worst(lambda i, s: n * run_mechanism(members[i], EPS, mech, s).value - i)
+            assert worst_case_over_family(mech, EPS, n, k, trials, seed) == expected
 
     def test_k_validated(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +11,14 @@ from dpmean.mechanisms import (
     Mechanism,
     NoisePair,
     PrivacyBudget,
+    _ratio,
     clip,
     estimate_independent,
     estimate_shifted,
     estimate_transformed,
     exact_aggregates,
     noise_scales,
+    noisy_estimate,
     run_mechanism,
     true_mean,
 )
@@ -98,6 +101,57 @@ class TestClip:
         lo, hi = min(a, b), max(a, b)
         once = clip(x, lo, hi)
         assert clip(once, lo, hi) == once
+
+
+    def test_signed_zero_follows_python_max_min(self):
+        assert math.copysign(1.0, clip(-0.0, 0.0, 1.0)) == 1.0
+        assert math.copysign(1.0, clip(0.0, -0.0, 1.0)) == -1.0
+
+    @given(st.lists(any_noise, min_size=1, max_size=30), finite_noise, finite_noise)
+    def test_array_matches_scalar_bitwise(self, xs, a, b):
+        lo, hi = min(a, b), max(a, b)
+        expected = [max(lo, min(x, hi)) if not math.isnan(x) else (lo + hi) / 2.0 for x in xs]
+        got = clip(np.array(xs), lo, hi)
+        assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in expected]
+        assert got.tolist() == expected
+
+
+class TestRatio:
+    def test_zero_denominator_of_either_sign(self):
+        for den in (0.0, -0.0):
+            assert _ratio(2.0, den) == math.inf
+            assert _ratio(-2.0, den) == -math.inf
+            assert math.isnan(_ratio(0.0, den))
+            assert math.isnan(_ratio(-0.0, den))
+            assert math.isnan(_ratio(math.nan, den))
+
+    def test_elementwise_on_arrays(self):
+        num = np.array([2.0, -2.0, 0.0, 3.0, 1.0])
+        den = np.array([-0.0, 0.0, -0.0, -1.5, 4.0])
+        got = _ratio(num, den)
+        assert got[:2].tolist() == [math.inf, -math.inf]
+        assert math.isnan(got[2])
+        assert got[3:].tolist() == [-2.0, 0.25]
+
+
+class TestNoisyEstimate:
+    @settings(max_examples=50)
+    @given(st.lists(st.tuples(any_noise, any_noise), min_size=1, max_size=20))
+    def test_array_equals_scalar_calls(self, pairs):
+        # one array evaluation is the scalar estimator applied trial by trial
+        d = BoundedDataset((2.5, 3.5, 2.0), 2.0, 4.0)
+        za = np.array([p[0] for p in pairs])
+        zb = np.array([p[1] for p in pairs])
+        for mech in Mechanism:
+            first, second, value = noisy_estimate(d, mech, za, zb)
+            for i, (a, b) in enumerate(pairs):
+                est = ESTIMATORS[mech](d, EPS, NoisePair(a, b))
+                assert value[i] == est.value
+                assert np.array_equal(
+                    [first[i], second[i]],
+                    [est.noisy_aggregates.first, est.noisy_aggregates.second],
+                    equal_nan=True,
+                )
 
 
 class TestTrueMean:

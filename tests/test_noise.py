@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpmean import noise
 from dpmean.noise import (
     Cursor,
     GeometricParams,
@@ -13,6 +14,8 @@ from dpmean.noise import (
     derive_stream,
     laplace_from_uniform,
     laplace_sample,
+    open_uniform_pairs,
+    philox_first_words,
     two_sided_geometric_from_uniform,
     two_sided_geometric_sample,
 )
@@ -55,6 +58,10 @@ UNIFORM_GOLDEN = (
 )
 
 
+def numpy_stream(seed: int, stream_id: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+
+
 def geo_cdf(k: int, alpha: float) -> float:
     if k < 0:
         return alpha ** (-k) / (1 + alpha)
@@ -92,12 +99,12 @@ class TestLaplaceTransform:
         assert laplace_from_uniform(0.25, 2.0) == pytest.approx(-2 * LAPLACE_INV_075, rel=1e-12)
 
     def test_scalar_sampler_matches_transform(self):
+        # scalar draws and one array evaluation agree bit for bit
         cursor = derive_stream(5, 5).cursor()
-        probe = Cursor(RandomStream(5, 5))
-        for _ in range(200):
-            u = probe.uniform_open()
-            x = laplace_sample(cursor, LaplaceParams(0.7))
-            assert x == pytest.approx(float(laplace_from_uniform(u, 0.7)), rel=1e-14, abs=1e-300)
+        us = Cursor(RandomStream(5, 5)).uniforms_open(200)
+        xs = laplace_from_uniform(us, 0.7)
+        for u, x in zip(us, xs):
+            assert laplace_sample(cursor, LaplaceParams(0.7)) == x == laplace_from_uniform(float(u), 0.7)
 
     @given(st.floats(min_value=1e-6, max_value=1 - 1e-6), st.floats(min_value=1e-6, max_value=1e6))
     def test_antisymmetric_in_u(self, u, scale):
@@ -235,3 +242,82 @@ class TestGolden:
         cursor = derive_stream(9001, 9).cursor()
         draws = tuple(cursor.uniform_open() for _ in range(4))
         assert draws == UNIFORM_GOLDEN
+
+
+class _FirstDrawZero:
+    """Generator stand-in whose first draw reads as 0.0 (it still consumes
+    the word), then delegates."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self._first = True
+
+    def random(self):
+        u = self._gen.random()
+        if self._first:
+            self._first = False
+            return 0.0
+        return u
+
+
+class TestPhiloxKernel:
+    @staticmethod
+    def assert_matches_numpy(seed, ids):
+        w0, w1 = philox_first_words(seed, ids)
+        u0, u1 = open_uniform_pairs(seed, ids)
+        for i, sid in enumerate(ids.tolist()):
+            assert numpy_stream(seed, sid).bit_generator.random_raw(2).tolist() == [w0[i], w1[i]]
+            gen = numpy_stream(seed, sid)
+            assert (gen.random(), gen.random()) == (u0[i], u1[i])
+
+    def test_first_words_match_numpy_philox(self):
+        self.assert_matches_numpy(20240601, np.arange(10_000, dtype=np.uint64))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_edge_keys(self, seed):
+        # ids near 2^64 - 1 make the Weyl increments of the key wrap
+        top = np.arange(2**64 - 600, 2**64, dtype=np.uint64)
+        ids = np.concatenate([np.arange(600, dtype=np.uint64), top, np.array([2**63], dtype=np.uint64)])
+        self.assert_matches_numpy(seed, ids)
+
+    def test_seed_validated(self):
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError):
+                open_uniform_pairs(bad, np.arange(3, dtype=np.uint64))
+
+    def test_pairs_equal_two_scalar_draws(self):
+        ids = np.array([0, 5, 2**40, 3], dtype=np.uint64)
+        u0, u1 = open_uniform_pairs(77, ids)
+        for i, sid in enumerate(ids.tolist()):
+            cursor = derive_stream(77, sid).cursor()
+            assert (cursor.uniform_open(), cursor.uniform_open()) == (u0[i], u1[i])
+
+    def test_zero_word_redraws_like_scalar_cursor(self, monkeypatch):
+        seed, target = 31, 17
+        ids = np.arange(64, dtype=np.uint64)
+        clean = open_uniform_pairs(seed, ids)
+
+        def forced(seed_, ids_):
+            w0, w1 = philox_first_words(seed_, ids_)
+            w0[ids_ == target] = 0
+            return w0, w1
+
+        real_init = Cursor.__init__
+
+        def init(self, stream):
+            real_init(self, stream)
+            if stream == RandomStream(seed, target):
+                self._gen = _FirstDrawZero(self._gen)
+
+        monkeypatch.setattr(noise, "philox_first_words", forced)
+        monkeypatch.setattr(Cursor, "__init__", init)
+        u0, u1 = open_uniform_pairs(seed, ids)
+        scalar = derive_stream(seed, target).cursor()
+        assert (u0[target], u1[target]) == (scalar.uniform_open(), scalar.uniform_open())
+        # the redraw skips the zero word: the pair is words 1 and 2
+        gen = numpy_stream(seed, target)
+        gen.random()
+        assert (u0[target], u1[target]) == (gen.random(), gen.random())
+        others = ids != target
+        assert np.array_equal(u0[others], clean[0][others])
+        assert np.array_equal(u1[others], clean[1][others])

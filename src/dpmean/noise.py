@@ -195,7 +195,8 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def philox_first_words(seed: int, stream_ids) -> tuple[np.ndarray, np.ndarray]:
-    """Words 0 and 1 of the first output block of every stream (seed, id).
+    """Words 0 and 1 of the first output block of every stream (seed, id),
+    as uint64 arrays shaped like ``stream_ids`` (at least 1-D).
 
     This is Philox4x64-10 evaluated elementwise on uint64 arrays, with key
     ``[seed, id]`` and counter ``[1, 0, 0, 0]``: numpy's Philox increments
@@ -205,7 +206,7 @@ def philox_first_words(seed: int, stream_ids) -> tuple[np.ndarray, np.ndarray]:
     if not 0 <= seed <= _UINT64_MAX:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     k0 = int(seed)
-    k1 = np.asarray(stream_ids, dtype=np.uint64)
+    k1 = np.array(stream_ids, dtype=np.uint64, ndmin=1)  # 0-d math would warn on wraparound
     c0 = np.ones_like(k1)
     c1 = c2 = c3 = np.zeros_like(k1)
     for r in range(_PHILOX_ROUNDS):
@@ -226,12 +227,12 @@ def open_uniform_pairs(seed: int, stream_ids) -> tuple[np.ndarray, np.ndarray]:
     holds a zero uniform (probability 2^-53 per word) is drawn by a scalar
     cursor instead, which redraws exactly as ``uniform_open`` does.
     """
-    ids = np.asarray(stream_ids, dtype=np.uint64)
+    ids = np.array(stream_ids, dtype=np.uint64, ndmin=1)
     w0, w1 = philox_first_words(seed, ids)
     u0 = (w0 >> _SHIFT_DOUBLE).astype(np.float64) * 2.0**-53
     u1 = (w1 >> _SHIFT_DOUBLE).astype(np.float64) * 2.0**-53
     for i in np.flatnonzero((u0 == 0.0) | (u1 == 0.0)):
-        cursor = Cursor(RandomStream(int(seed), int(ids[i])))
-        u0[i] = cursor.uniform_open()
-        u1[i] = cursor.uniform_open()
+        cursor = Cursor(RandomStream(int(seed), int(ids.flat[i])))
+        u0.flat[i] = cursor.uniform_open()
+        u1.flat[i] = cursor.uniform_open()
     return u0, u1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,12 @@ class TestPhiloxKernel:
         top = np.arange(2**64 - 600, 2**64, dtype=np.uint64)
         ids = np.concatenate([np.arange(600, dtype=np.uint64), top, np.array([2**63], dtype=np.uint64)])
         self.assert_matches_numpy(seed, ids)
+
+    def test_scalar_id_is_a_batch_of_one(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w0, w1 = philox_first_words(2**64 - 1, 2**64 - 1)
+        assert numpy_stream(2**64 - 1, 2**64 - 1).bit_generator.random_raw(2).tolist() == [w0[0], w1[0]]
 
     def test_seed_validated(self):
         for bad in (-1, 2**64):

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .mechanisms import BoundedDataset, Mechanism, PrivacyBudget, true_mean
+from .mechanisms import BoundedDataset, Mechanism, PrivacyBudget, check_bounds, true_mean
 
 
 class NeighborModel(str, enum.Enum):
@@ -37,15 +37,10 @@ def _check_budget(eps: float) -> None:
         raise ValueError(f"epsilon must be positive and finite, got {eps}")
 
 
-def _check_bounds(lower: float, upper: float) -> None:
-    if not (lower < upper and math.isfinite(lower) and math.isfinite(upper)):
-        raise ValueError(f"bounds must be finite with lower < upper, got [{lower}, {upper}]")
-
-
 def swap_minmax_leading(eps: float, lower: float, upper: float) -> float:
     """Optimal worst-case normalized MSE under swap adjacency: 2(u-l)^2/eps^2."""
     _check_budget(eps)
-    _check_bounds(lower, upper)
+    check_bounds(lower, upper)
     return 2.0 * (upper - lower) ** 2 / eps**2
 
 
@@ -56,7 +51,7 @@ def add_remove_minmax_leading(eps: float, lower: float, upper: float) -> float:
     in the leading term.
     """
     _check_budget(eps)
-    _check_bounds(lower, upper)
+    check_bounds(lower, upper)
     return 2.0 * (upper - lower) ** 2 / eps**2
 
 
@@ -67,7 +62,7 @@ def lower_bound_leading(eps: float, lower: float, upper: float) -> float:
     with the factor taken as exactly 1.
     """
     _check_budget(eps)
-    _check_bounds(lower, upper)
+    check_bounds(lower, upper)
     return 2.0 * (upper - lower) ** 2 / eps**2
 
 
@@ -83,7 +78,7 @@ def shifted_mse_bound_from_stats(
     """Leading MSE bound for the shifted estimator on a dataset of size n
     with the given mean: (2(u-l)^2 + 8(mean-midpoint)^2) / (n eps)^2."""
     _check_budget(eps)
-    _check_bounds(lower, upper)
+    check_bounds(lower, upper)
     if n < 1:
         raise ValueError("dataset size must be at least 1")
     w = upper - lower
@@ -97,7 +92,7 @@ def transformed_mse_bound_from_stats(
     """Leading MSE bound for the transformed estimator:
     ((u-l)^2 + 4(mean-midpoint)^2) / (n eps)^2 -- half the shifted bound."""
     _check_budget(eps)
-    _check_bounds(lower, upper)
+    check_bounds(lower, upper)
     if n < 1:
         raise ValueError("dataset size must be at least 1")
     w = upper - lower

@@ -7,10 +7,13 @@ Exit codes: 0 success, 2 validation error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import secrets
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -38,7 +41,7 @@ from .harness import (
     sweep,
     write_metadata,
 )
-from .mechanisms import BoundedDataset, Mechanism, PrivacyBudget, run_mechanism
+from .mechanisms import BoundedDataset, Mechanism, PrivacyBudget, check_bounds, run_mechanism
 from .noise import RandomStream
 
 POLYGON_CSV_HEADER = "polygon_id,vertex_index,x,y"
@@ -61,40 +64,65 @@ def _entropy_seed() -> int:
     return secrets.randbits(64)
 
 
-def _read_values(path: str) -> list[tuple[int, float]]:
+def _input_lines(path: str) -> list[str]:
+    # read_text maps \r\n and \r to \n, so line numbers count \n-ended
+    # lines whatever the file's line endings; splitlines would also break
+    # at form feeds and other separators an editor shows within a line.
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text().split("\n")
     except OSError as exc:
         raise ValidationError(f"cannot read input file {path}: {exc}") from exc
-    values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+
+
+def _numbered(lines: list[str]):
+    """(line number, stripped text) of every non-blank line."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line:
-            continue
-        try:
-            values.append((lineno, float(line)))
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: not a decimal number: {line!r}") from exc
-    if not values:
+        if line:
+            yield lineno, line
+
+
+def _read_values(path: str) -> np.ndarray:
+    """The values of a file, ``float`` of each stripped non-blank line, as
+    float64.  Lines are stripped first because ``float`` itself rejects the
+    separators U+001C..U+001F that ``str.strip`` removes."""
+    lines = _input_lines(path)
+    try:
+        values = np.fromiter(map(float, filter(None, map(str.strip, lines))), dtype=np.float64)
+    except ValueError:
+        for lineno, line in _numbered(lines):
+            try:
+                float(line)
+            except ValueError as exc:
+                raise ValidationError(f"line {lineno}: not a decimal number: {line!r}") from exc
+        raise
+    if not len(values):
         raise ValidationError(f"input file {path} contains no values")
     return values
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    numbered = _read_values(args.input)
-    for lineno, v in numbered:
-        if not (args.lower <= v <= args.upper):
-            raise ValidationError(
-                f"line {lineno}: value {v} is outside the declared "
-                f"bounds [{args.lower}, {args.upper}]"
-            )
-    values = [v for _, v in numbered]
+    # Validate the arguments before reading what may be a large file.
     try:
-        d = BoundedDataset(tuple(values), args.lower, args.upper)
+        check_bounds(args.lower, args.upper)
         eps = PrivacyBudget(args.epsilon)
         stream = RandomStream(args.seed if args.seed is not None else _entropy_seed(), 0)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    values = _read_values(args.input)
+    try:
+        d = BoundedDataset(values, args.lower, args.upper)
+    except ValueError as exc:
+        # Only a rejected file is read again, for the line of the first
+        # value outside the bounds.
+        first = int(np.argmin((values >= args.lower) & (values <= args.upper)))
+        for lineno, _ in itertools.islice(_numbered(_input_lines(args.input)), first, None):
+            raise ValidationError(
+                f"line {lineno}: value {float(values[first])} is outside the declared "
+                f"bounds [{args.lower}, {args.upper}]"
+            ) from exc
+        raise ValidationError(str(exc)) from exc
+    del values  # d holds its own copy
     mechanism = Mechanism(args.mechanism)
     # Exactly one mechanism invocation: no retries, or the guarantee degrades.
     estimate = run_mechanism(d, eps, mechanism, stream)

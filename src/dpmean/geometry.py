@@ -168,7 +168,7 @@ def covers_sensitivity(poly: BallPolygon, seg: SensitivitySegment) -> bool:
 def normalize_dataset(d: BoundedDataset) -> BoundedDataset:
     """Rescale values through (x - lower)/(upper - lower) onto bounds [0, 1]."""
     lo, w = d.lower, d.width
-    return BoundedDataset(tuple((v - lo) / w for v in d.values), 0.0, 1.0)
+    return BoundedDataset((d.values - lo) / w, 0.0, 1.0)
 
 
 def transform_procedure_estimate(

@@ -111,12 +111,12 @@ def family_member_spec(n: int, i: int, bounds: tuple[float, float] = (0.0, 1.0))
 def generate_dataset(spec: DatasetSpec) -> BoundedDataset:
     lo, hi = spec.bounds
     if spec.kind is DatasetKind.CONSTANT:
-        values: tuple[float, ...] = (spec.target_mean,) * spec.size
+        values = np.full(spec.size, spec.target_mean, dtype=np.float64)
     elif spec.kind is DatasetKind.TWO_POINT:
         k = round(spec.size * (spec.target_mean - lo) / (hi - lo))
-        values = (hi,) * k + (lo,) * (spec.size - k)
+        values = np.repeat(np.array([hi, lo], dtype=np.float64), [k, spec.size - k])
     else:
-        values = (hi,) * spec.family_k + (lo,) * spec.size
+        values = np.repeat(np.array([hi, lo], dtype=np.float64), [spec.family_k, spec.size])
     return BoundedDataset(values, lo, hi)
 
 
@@ -257,17 +257,21 @@ def estimate_mse(
 
 def sweep(config: ExperimentConfig, workers: int = 1) -> list[MseReport]:
     """Run the Cartesian product (mechanism, epsilon, dataset_spec) in that
-    nesting order; deterministic given the config seed."""
+    nesting order; deterministic given the config seed.  Each distinct spec
+    is built into a dataset once and shared by its cells."""
     cells = [
         (mech, e, spec)
         for mech in config.mechanisms
         for e in config.epsilons
         for spec in config.dataset_specs
     ]
+    datasets: dict[DatasetSpec, BoundedDataset] = {}
     reports = []
     for index, (mech, e, spec) in enumerate(cells):
         try:
-            d = generate_dataset(spec)
+            d = datasets.get(spec)
+            if d is None:
+                d = datasets[spec] = generate_dataset(spec)
             reports.append(
                 estimate_mse(
                     d,

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dpmean.cli import main
+from dpmean.cli import _read_values, main
 from dpmean.harness import CSV_HEADER
 
 
@@ -120,6 +123,80 @@ class TestEstimate:
             capsys,
         )
         assert code == 2
+
+
+ESTIMATE_HEAD = ["estimate", "--seed", "1"]
+
+
+class TestEstimateValidation:
+    """Argument checks come before the input is read, and rejected inputs
+    name the offending line counted in \\n-separated lines."""
+
+    @pytest.mark.parametrize("lower, upper", [("nan", "1"), ("1", "0"), ("0", "inf")])
+    def test_bad_bounds_rejected_before_reading(self, data_file, lower, upper, capsys):
+        code, out, err = run(
+            ESTIMATE_HEAD + ["--input", str(data_file), "--lower", lower, "--upper", upper,
+                             "--epsilon", "0.5"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "bounds must be finite with lower < upper" in err
+        assert "line" not in err
+
+    def test_bad_epsilon_rejected_before_reading(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("potato\n")
+        for input_path in (path, tmp_path / "missing.txt"):
+            code, out, err = run(
+                ESTIMATE_HEAD + ["--input", str(input_path), "--lower", "0", "--upper", "1",
+                                 "--epsilon", "-1"],
+                capsys,
+            )
+            assert code == 2 and out == ""
+            assert "epsilon" in err and "line" not in err and "cannot read" not in err
+
+    def test_only_newlines_separate_lines(self, tmp_path, capsys):
+        # A form feed is not a line break: the first line is not a number,
+        # and a whitespace-only line of \x0c still counts as one line.
+        argv = ESTIMATE_HEAD + ["--lower", "0", "--upper", "1", "--epsilon", "0.5"]
+        for text, expected in (
+            ("0.5\x0c0.7\n0.2\nzz\n", "line 1: not a decimal number: '0.5\\x0c0.7'"),
+            ("0.5\n\x0c\n0.2\u2028\nzz\n", "line 4: not a decimal number: 'zz'"),
+            ("0.5\r\n\x0b\r\n0.2\r1.5\n", "line 4: value 1.5 is outside the declared bounds [0.0, 1.0]"),
+        ):
+            path = tmp_path / "values.txt"
+            path.write_bytes(text.encode())
+            code, out, err = run(argv + ["--input", str(path)], capsys)
+            assert code == 2 and out == ""
+            assert expected in err
+
+
+NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.floats(allow_nan=False, min_value=0.0).map(lambda x: "+" + repr(x)),
+    st.floats(allow_nan=False).map(lambda x: f"{x:.6e}"),
+    st.floats(allow_nan=False).map(lambda x: f"{x:.3E}"),
+    st.sampled_from(["0_5", "1_000.25e-3", "+.5", "-0.0", "1E3", "5.", "nan", "-inf", "infinity"]),
+)
+PADDING = st.text(alphabet=" \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000", max_size=3)
+LINE = st.one_of(
+    st.tuples(PADDING, NUMBER_TEXT, PADDING).map("".join),
+    PADDING,
+)
+ENDING = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+class TestReadValues:
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(LINE, ENDING), max_size=30).filter(lambda ls: any(l.strip() for l, _ in ls)))
+    def test_matches_line_by_line_float(self, tmp_path, numbered_lines):
+        path = tmp_path / "values.txt"
+        path.write_bytes("".join(l + end for l, end in numbered_lines).encode())
+        lines = [l for l, _ in numbered_lines]
+        expected = np.array([float(l.strip()) for l in lines if l.strip()], dtype=np.float64)
+        got = _read_values(str(path))
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestBounds:

@@ -198,12 +198,12 @@ class TestNormalize:
     def test_rescales_to_unit(self):
         d = BoundedDataset((2.0, 3.0, 4.0), 2.0, 4.0)
         norm = normalize_dataset(d)
-        assert norm.values == (0.0, 0.5, 1.0)
+        assert tuple(norm.values) == (0.0, 0.5, 1.0)
         assert (norm.lower, norm.upper) == (0.0, 1.0)
 
     def test_unit_dataset_unchanged(self):
         d = BoundedDataset((0.1, 0.9), 0.0, 1.0)
-        assert normalize_dataset(d).values == d.values
+        assert tuple(normalize_dataset(d).values) == tuple(d.values)
 
     @given(st.lists(st.floats(min_value=-5, max_value=7), min_size=1, max_size=30))
     def test_mean_relation(self, values):

@@ -54,7 +54,7 @@ class TestSeedDerivation:
 class TestGenerateDataset:
     def test_constant(self):
         d = generate_dataset(DatasetSpec(DatasetKind.CONSTANT, 3, 0.4, (0.0, 1.0)))
-        assert d.values == (0.4, 0.4, 0.4)
+        assert tuple(d.values) == (0.4, 0.4, 0.4)
 
     def test_two_point(self):
         d = generate_dataset(DatasetSpec(DatasetKind.TWO_POINT, 4, 0.5, (0.0, 1.0)))

@@ -64,6 +64,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             BoundedDataset((math.nan,), 0.0, 1.0)
 
+    def test_out_of_bounds_message_names_first_offender(self):
+        with pytest.raises(ValueError, match=r"value 2\.0 outside declared bounds \[0\.0, 1\.0\]"):
+            BoundedDataset((0.5, 2.0, -1.0), 0.0, 1.0)
+        with pytest.raises(ValueError, match="value nan"):
+            BoundedDataset(np.array([0.5, math.nan]), 0.0, 1.0)
+
+    def test_values_must_be_one_dimensional(self):
+        with pytest.raises(ValueError):
+            BoundedDataset(0.5, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            BoundedDataset([[0.5]], 0.0, 1.0)
+
     def test_empty_dataset_rejected_by_estimators(self):
         d = BoundedDataset((), 0.0, 1.0)
         with pytest.raises(ValueError):
@@ -71,6 +83,36 @@ class TestValidation:
         for est in ESTIMATORS.values():
             with pytest.raises(ValueError):
                 est(d, EPS, ZERO)
+
+
+class TestDatasetStorage:
+    def test_values_are_a_read_only_float64_copy(self):
+        source = np.array([0.25, 0.5, 0.75])
+        d = BoundedDataset(source, 0.0, 1.0)
+        assert d.values.dtype == np.float64 and d.values.shape == (3,)
+        with pytest.raises(ValueError):
+            d.values[0] = 0.9
+        with pytest.raises(ValueError):
+            d.values.flags.writeable = True
+        source[0] = 0.9  # the caller's array changes later
+        assert d.values[0] == 0.25
+        assert d.total == 1.5
+
+    def test_any_sequence(self):
+        for seq in ((0, 1, 1), [0.0, 1.0, 1.0], range(2), np.array([0, 1], dtype=np.int64)):
+            d = BoundedDataset(seq, 0, 1)
+            assert d.values.dtype == np.float64
+            assert list(d.values) == [float(v) for v in seq]
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 3.0), (2.0, 4.0)])
+    def test_aggregates_match_scalar_fsum(self, lo, hi):
+        rng = np.random.default_rng(17)
+        values = [float(v) for v in rng.uniform(lo, hi, 5000)] + [lo, hi, (lo + hi) / 2.0]
+        d = BoundedDataset(values, lo, hi)
+        m, w = (lo + hi) / 2.0, hi - lo
+        assert d.total == math.fsum(values)
+        assert d.shifted_total == math.fsum(v - m for v in values)
+        assert d.scaled_total == math.fsum((v - lo) / w for v in values)
 
 
 class TestClip:

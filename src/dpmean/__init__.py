@@ -31,7 +31,6 @@ from .geometry import (
     ball_polygon,
     covers_sensitivity,
     l1_sensitivity_under,
-    normalize_dataset,
     transform_procedure_estimate,
 )
 from .harness import (
@@ -48,7 +47,6 @@ from .harness import (
     worst_case_over_family,
 )
 from .mechanisms import (
-    AggregateKind,
     AggregateVector,
     BoundedDataset,
     MeanEstimate,

@@ -14,7 +14,16 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .mechanisms import BoundedDataset, Mechanism, PrivacyBudget, check_bounds, true_mean
+from .mechanisms import (
+    UNIT_SEGMENT,
+    BoundedDataset,
+    Mechanism,
+    PrivacyBudget,
+    check_bounds,
+    l1_sensitivity_under,
+    mechanism_row,
+    true_mean,
+)
 
 
 class NeighborModel(str, enum.Enum):
@@ -37,33 +46,22 @@ def _check_budget(eps: float) -> None:
         raise ValueError(f"epsilon must be positive and finite, got {eps}")
 
 
-def swap_minmax_leading(eps: float, lower: float, upper: float) -> float:
-    """Optimal worst-case normalized MSE under swap adjacency: 2(u-l)^2/eps^2."""
-    _check_budget(eps)
-    check_bounds(lower, upper)
-    return 2.0 * (upper - lower) ** 2 / eps**2
+def minmax_leading(eps: float, lower: float, upper: float) -> float:
+    """2(u-l)^2/eps^2, the leading worst-case normalized MSE.
 
-
-def add_remove_minmax_leading(eps: float, lower: float, upper: float) -> float:
-    """Optimal worst-case normalized MSE under add-remove adjacency.
-
-    Identical to the swap figure: protecting the dataset size costs nothing
-    in the leading term.
+    It is three figures at once: the optimum under swap adjacency; the
+    optimum under add-remove adjacency (protecting the dataset size costs
+    nothing in the leading term, and the transformed mechanism attains it);
+    and the information-theoretic floor for add-remove adjacency, whose true
+    statement carries a 1 - o(1) factor taken here as exactly 1.
     """
     _check_budget(eps)
     check_bounds(lower, upper)
     return 2.0 * (upper - lower) ** 2 / eps**2
 
 
-def lower_bound_leading(eps: float, lower: float, upper: float) -> float:
-    """Information-theoretic floor for add-remove adjacency, 2(u-l)^2/eps^2.
-
-    The true statement carries a 1 - o(1) factor; this reports the constant
-    with the factor taken as exactly 1.
-    """
-    _check_budget(eps)
-    check_bounds(lower, upper)
-    return 2.0 * (upper - lower) ** 2 / eps**2
+# The three figures coincide; each name keeps the statement it makes.
+swap_minmax_leading = add_remove_minmax_leading = lower_bound_leading = minmax_leading
 
 
 def minmax_risk(model: NeighborModel, eps: float, lower: float, upper: float) -> RiskReport:
@@ -75,22 +73,16 @@ def minmax_risk(model: NeighborModel, eps: float, lower: float, upper: float) ->
 def shifted_mse_bound_from_stats(
     n: int, mean: float, eps: float, lower: float, upper: float
 ) -> float:
-    """Leading MSE bound for the shifted estimator on a dataset of size n
-    with the given mean: (2(u-l)^2 + 8(mean-midpoint)^2) / (n eps)^2."""
-    _check_budget(eps)
-    check_bounds(lower, upper)
-    if n < 1:
-        raise ValueError("dataset size must be at least 1")
-    w = upper - lower
-    m = (lower + upper) / 2.0
-    return (2.0 * w**2 + 8.0 * (mean - m) ** 2) / (n**2 * eps**2)
+    """Leading MSE bound for the shifted estimator: twice the transformed
+    bound, (2(u-l)^2 + 8(mean-midpoint)^2) / (n eps)^2."""
+    return 2.0 * transformed_mse_bound_from_stats(n, mean, eps, lower, upper)
 
 
 def transformed_mse_bound_from_stats(
     n: int, mean: float, eps: float, lower: float, upper: float
 ) -> float:
-    """Leading MSE bound for the transformed estimator:
-    ((u-l)^2 + 4(mean-midpoint)^2) / (n eps)^2 -- half the shifted bound."""
+    """Leading MSE bound for the transformed estimator on a dataset of size
+    n with the given mean: ((u-l)^2 + 4(mean-midpoint)^2) / (n eps)^2."""
     _check_budget(eps)
     check_bounds(lower, upper)
     if n < 1:
@@ -136,8 +128,6 @@ class ClippedRatioTerms:
     a: float
     b: float
     ratio_cap: float
-    scale_a: float
-    scale_b: float
     linear_sq: float
     remainder_sq_bound: float
     tail: float
@@ -161,40 +151,48 @@ def clipped_ratio_mse_bound(terms: ClippedRatioTerms) -> float:
     return terms.linear_sq + terms.remainder_sq_bound + terms.cross_term + terms.tail
 
 
+def _lower_tail(c1: float, c2: float, t: float) -> float:
+    """P(c1 Z1 + c2 Z2 < -t) for iid unit Laplace Z1, Z2 and t >= 0."""
+    small, large = sorted((abs(c1), abs(c2)))
+    if small == 0.0:
+        return 0.5 * math.exp(-t / large)
+    if small == large:
+        # the sum of two iid Laplace(c) variables
+        return (2.0 + t / large) * math.exp(-t / large) / 4.0
+    raise ValueError("no closed-form tail for two unequal nonzero coefficients")
+
+
+def _laplace_mix_terms(
+    a: float, b: float, ratio_cap: float, za: tuple[float, float], zb: tuple[float, float]
+) -> ClippedRatioTerms:
+    """Populate the terms for Z_a = a1 Z1 + a2 Z2 and Z_b = b1 Z1 + b2 Z2,
+    with Z1, Z2 iid unit Laplace (E[Z^2] = 2, E[Z^4] = 24).
+
+    Exact moments: E[Z_a^2] = 2(a1^2 + a2^2), E[Z_a Z_b] = 2(a1 b1 + a2 b2),
+    E[Z_b^2] = 2(b1^2 + b2^2), E[Z_b^4] = 24(b1^4 + b2^4 + b1^2 b2^2) and
+    E[Z_a^2 Z_b^2] = 24(a1^2 b1^2 + a2^2 b2^2) + 4(a1 b2 + a2 b1)^2
+    + 8 a1 b1 a2 b2.
+    """
+    (a1, a2), (b1, b2) = za, zb
+    e_za2 = 2.0 * (a1**2 + a2**2)
+    e_zazb = 2.0 * (a1 * b1 + a2 * b2)
+    e_zb2 = 2.0 * (b1**2 + b2**2)
+    e_zb4 = 24.0 * (b1**4 + b2**4 + b1**2 * b2**2)
+    e_za2zb2 = (
+        24.0 * (a1**2 * b1**2 + a2**2 * b2**2) + 4.0 * (a1 * b2 + a2 * b1) ** 2 + 8.0 * a1 * b1 * a2 * b2
+    )
+    linear_sq = e_za2 / b**2 - 2.0 * a * e_zazb / b**3 + a**2 * e_zb2 / b**4
+    remainder_sq_bound = (8.0 * ratio_cap**2 * e_zb4 + 8.0 * e_za2zb2) / b**4
+    tail = 4.0 * ratio_cap**2 * _lower_tail(b1, b2, b / 2.0)
+    return ClippedRatioTerms(a, b, ratio_cap, linear_sq, remainder_sq_bound, tail)
+
+
 def clipped_ratio_terms(
     a: float, b: float, ratio_cap: float, scale_a: float, scale_b: float
 ) -> ClippedRatioTerms:
-    """Populate the terms for independent Laplace Z_a, Z_b.
-
-    Laplace moments: E[Z^2] = 2 s^2, E[Z^4] = 24 s^4, and by independence
-    E[Z_a^2 Z_b^2] = 4 scale_a^2 scale_b^2.
-    """
-    linear_sq = 2.0 * scale_a**2 / b**2 + a**2 * 2.0 * scale_b**2 / b**4
-    remainder_sq_bound = (
-        8.0 * ratio_cap**2 * 24.0 * scale_b**4 + 8.0 * 4.0 * scale_a**2 * scale_b**2
-    ) / b**4
-    tail = 4.0 * ratio_cap**2 * 0.5 * math.exp(-b / (2.0 * scale_b))
-    return ClippedRatioTerms(a, b, ratio_cap, scale_a, scale_b, linear_sq, remainder_sq_bound, tail)
-
-
-def _transformed_pair_terms(s1: float, n: float, eps: float) -> ClippedRatioTerms:
-    # The transformed estimator has Z_a = Z1 and Z_b = Z1 + Z2 for
-    # independent Laplace(1/eps) Z1, Z2, so the pair is correlated and Z_b is
-    # not Laplace.  Exact moments of the sum: E[Z_b^2] = 4/eps^2,
-    # E[Z_b^4] = 72/eps^4, E[Z_a Z_b] = 2/eps^2, E[Z_a^2 Z_b^2] = 28/eps^4,
-    # and P(Z_b < -t) = (2 + t*eps) * exp(-t*eps) / 4 for t >= 0.
-    s = 1.0 / eps
-    e_za2 = 2.0 * s**2
-    e_zb2 = 4.0 * s**2
-    e_zazb = 2.0 * s**2
-    e_zb4 = 72.0 * s**4
-    e_za2zb2 = 28.0 * s**4
-    ratio_cap = 1.0
-    linear_sq = e_za2 / n**2 - 2.0 * s1 * e_zazb / n**3 + s1**2 * e_zb2 / n**4
-    remainder_sq_bound = (8.0 * ratio_cap**2 * e_zb4 + 8.0 * e_za2zb2) / n**4
-    t = n / 2.0
-    tail = 4.0 * ratio_cap**2 * (2.0 + t * eps) * math.exp(-t * eps) / 4.0
-    return ClippedRatioTerms(s1, n, ratio_cap, s, s, linear_sq, remainder_sq_bound, tail)
+    """Populate the terms for independent Laplace Z_a, Z_b of the given
+    scales."""
+    return _laplace_mix_terms(a, b, ratio_cap, (scale_a, 0.0), (0.0, scale_b))
 
 
 def clipped_ratio_terms_for(
@@ -202,28 +200,26 @@ def clipped_ratio_terms_for(
 ) -> ClippedRatioTerms:
     """Instantiate the decomposition for one mechanism run on one dataset.
 
-    The returned terms bound the clipped-ratio error in the mechanism's own
-    ratio units; see mechanism_mse_bound for data units.
+    The estimate is l + w * clip(s^/n^, 0, 1), where (s^, n^) is (s, n) plus
+    T^-1 diag(scales) Z = (r/eps) G^-1 Z for iid unit Laplace Z, G the
+    mechanism's transform and r its L1 radius (D cancels; see
+    ``mechanisms``).  In centered normalized units that is the clipped ratio
+    of a = s - n/2 and b = n with ratio cap 1/2, perturbed by
+    (Z_a, Z_b) = (r/eps) [[1, -1/2], [0, 1]] G^-1 Z.  The terms bound the
+    error in those units; see mechanism_mse_bound for data units.
     """
     if len(d) == 0:
         raise ValueError("cannot instantiate bound terms for an empty dataset")
-    mechanism = Mechanism(mechanism)
     n = float(len(d))
-    e = eps.epsilon
-    if mechanism is Mechanism.INDEPENDENT:
-        w_abs = max(abs(d.lower), abs(d.upper))
-        return clipped_ratio_terms(d.total, n, w_abs, 2.0 * w_abs / e, 2.0 / e)
-    if mechanism is Mechanism.SHIFTED:
-        return clipped_ratio_terms(d.shifted_total, n, d.width / 2.0, d.width / e, 2.0 / e)
-    return _transformed_pair_terms(d.scaled_total, n, e)
+    g, _ = mechanism_row(d, mechanism)
+    inv = g.inverse()
+    scale = l1_sensitivity_under(g, UNIT_SEGMENT) / eps.epsilon
+    za = ((inv.a11 - inv.a21 / 2.0) * scale, (inv.a12 - inv.a22 / 2.0) * scale)
+    zb = (inv.a21 * scale, inv.a22 * scale)
+    return _laplace_mix_terms(d.scaled_total - n / 2.0, n, 0.5, za, zb)
 
 
 def mechanism_mse_bound(d: BoundedDataset, mechanism: Mechanism, eps: PrivacyBudget) -> float:
     """Full (non-asymptotic) MSE bound for one mechanism on one dataset, in
     squared data units."""
-    mechanism = Mechanism(mechanism)
-    terms = clipped_ratio_terms_for(d, mechanism, eps)
-    bound = clipped_ratio_mse_bound(terms)
-    if mechanism is Mechanism.TRANSFORMED:
-        return d.width**2 * bound
-    return bound
+    return d.width**2 * clipped_ratio_mse_bound(clipped_ratio_terms_for(d, mechanism, eps))

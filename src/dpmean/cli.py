@@ -18,10 +18,8 @@ import numpy as np
 from . import __version__
 from .bounds import (
     NeighborModel,
-    add_remove_minmax_leading,
-    lower_bound_leading,
+    minmax_leading,
     shifted_mse_bound_from_stats,
-    swap_minmax_leading,
     transformed_mse_bound_from_stats,
 )
 from .geometry import (
@@ -70,7 +68,7 @@ def _input_lines(path: str) -> list[str]:
     # at form feeds and other separators an editor shows within a line.
     try:
         return Path(path).read_text().split("\n")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read input file {path}: {exc}") from exc
 
 
@@ -141,32 +139,22 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    eps, lo, hi = args.epsilon, args.lower, args.upper
     try:
-        eps, lo, hi = args.epsilon, args.lower, args.upper
-        rows = [
-            ("swap min-max leading", NeighborModel.SWAP.value, swap_minmax_leading(eps, lo, hi)),
-            (
-                "add-remove upper (transformed mech.)",
-                NeighborModel.ADD_REMOVE.value,
-                add_remove_minmax_leading(eps, lo, hi),
-            ),
-            (
-                "add-remove lower bound",
-                NeighborModel.ADD_REMOVE.value,
-                lower_bound_leading(eps, lo, hi),
-            ),
-            (
-                "shifted mech. worst case",
-                NeighborModel.ADD_REMOVE.value,
-                2.0 * add_remove_minmax_leading(eps, lo, hi),
-            ),
-        ]
+        leading = minmax_leading(eps, lo, hi)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    rows = [
+        ("swap min-max leading", NeighborModel.SWAP.value, leading),
+        ("add-remove upper (transformed mech.)", NeighborModel.ADD_REMOVE.value, leading),
+        ("add-remove lower bound", NeighborModel.ADD_REMOVE.value, leading),
+        ("shifted mech. worst case", NeighborModel.ADD_REMOVE.value, 2.0 * leading),
+    ]
     print(f"normalized MSE leading terms for epsilon={eps}, bounds=[{lo}, {hi}]")
     print("(asymptotic constants; true values carry a 1 +/- o(1) factor)")
     for label, model, value in rows:
         print(f"  {label:<38} {model:<11} {_fmt(value)}")
+    print("  (the first three rows coincide: each is 2 (upper - lower)^2 / epsilon^2)")
     print(f"  {'shifted / transformed MSE ratio':<38} {'':<11} {_fmt(2.0)}")
     if args.n is not None and args.mean is not None:
         try:
@@ -294,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--input", default=None, help="explicit sweep config JSON")
     p_fig.add_argument("--trials", type=int, default=None, help="override preset trial count")
     p_fig.add_argument("--seed", type=int, default=None, help="64-bit seed; default: entropy")
-    p_fig.add_argument("--workers", type=int, default=1)
+    p_fig.add_argument(
+        "--workers", type=int, default=1, help="ignored: results and speed do not depend on it"
+    )
     p_fig.add_argument("--output", default=None, help="output CSV path")
     p_fig.set_defaults(func=cmd_figures)
 

@@ -1,85 +1,33 @@
-"""Linear-transform view of additive-noise mean release.
+"""Covering-ball view of additive-noise mean release.
 
-Releasing (sum, count) of data normalized to [0, 1] with coordinate-wise
-Laplace noise is a norm-ball mechanism: it is private at budget eps whenever
-the L1 ball of radius r (the per-coordinate noise scale times eps) covers,
-after the chosen linear change of coordinates, every difference the
-aggregate can take between adjacent datasets.  Those differences form the
-segments +-(x, 1), x in [0, 1].  This module computes the required radius
-for a given transform, exports the covering balls as polygons in the
-original aggregate space, and implements the generic
-transform / add noise / invert / clip procedure so its equivalence with the
-direct estimators can be checked exactly.
+Laplace noise on a linear change of coordinates G of the normalized
+(sum, count) is private at budget eps when the L1 ball of radius r (noise
+scale times eps) covers, after G, every difference +-(x, 1), x in [0, 1],
+between adjacent datasets' aggregates.  ``mechanisms`` defines each
+mechanism by such a G and derives its noise from ``l1_sensitivity_under``;
+this module exports the covering balls as polygons in the aggregate space,
+checks their coverage, and runs the mechanisms' estimator for any G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .mechanisms import (
-    AggregateKind,
+from .mechanisms import (  # noqa: F401  (re-exports: mechanisms owns coordinates and sensitivity)
+    CENTERING_TRANSFORM,
+    COMPLEMENT_TRANSFORM,
+    IDENTITY_TRANSFORM,
+    UNIT_SEGMENT,
     AggregateVector,
     BoundedDataset,
     MeanEstimate,
     NoisePair,
     PrivacyBudget,
-    _ratio,
-    clip,
+    SensitivitySegment,
+    Transform2x2,
+    l1_sensitivity_under,
+    transform_estimate,
 )
-
-
-@dataclass(frozen=True)
-class Transform2x2:
-    """Invertible 2x2 matrix acting on (sum, count) aggregate vectors."""
-
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-
-    def __post_init__(self) -> None:
-        if self.determinant == 0.0:
-            raise ValueError("transform must be invertible (nonzero determinant)")
-
-    @property
-    def determinant(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def apply(self, v: tuple[float, float]) -> tuple[float, float]:
-        x, y = v
-        return (self.a11 * x + self.a12 * y, self.a21 * x + self.a22 * y)
-
-    def inverse(self) -> "Transform2x2":
-        det = self.determinant
-        return Transform2x2(self.a22 / det, -self.a12 / det, -self.a21 / det, self.a11 / det)
-
-
-#: No change of coordinates; needs an L1 ball of radius 2 to cover +-(x, 1).
-IDENTITY_TRANSFORM = Transform2x2(1.0, 0.0, 0.0, 1.0)
-
-#: (sum, count) -> (sum - count/2, count/2): recentering at the interval
-#: midpoint plus a count rescale; realizes the shifted estimator.
-CENTERING_TRANSFORM = Transform2x2(1.0, -0.5, 0.0, 0.5)
-
-#: (sum, count) -> (sum, count - sum): the scaled-sum / complement pair;
-#: realizes the transformed estimator and fits the covering ball exactly to
-#: the convex hull of the aggregate differences.
-COMPLEMENT_TRANSFORM = Transform2x2(1.0, 0.0, -1.0, 1.0)
-
-
-@dataclass(frozen=True)
-class SensitivitySegment:
-    """The aggregate-difference family +-(x, 1) for x in [x_lo, x_hi]."""
-
-    x_lo: float
-    x_hi: float
-
-    def __post_init__(self) -> None:
-        if not (self.x_lo <= self.x_hi):
-            raise ValueError(f"segment requires x_lo <= x_hi, got [{self.x_lo}, {self.x_hi}]")
-
-
-UNIT_SEGMENT = SensitivitySegment(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -114,27 +62,6 @@ class BallPolygon:
         return True
 
 
-def _l1_norm_at(t: Transform2x2, x: float) -> float:
-    v1, v2 = t.apply((x, 1.0))
-    return abs(v1) + abs(v2)
-
-
-def l1_sensitivity_under(t: Transform2x2, seg: SensitivitySegment) -> float:
-    """Largest L1 norm of T(x, 1) over the segment.
-
-    The norm is a piecewise-linear convex function of x, so it suffices to
-    evaluate the endpoints plus the kinks where a transformed coordinate
-    crosses zero.
-    """
-    candidates = [seg.x_lo, seg.x_hi]
-    for num, den in ((t.a12, t.a11), (t.a22, t.a21)):
-        if den != 0.0:
-            kink = -num / den
-            if seg.x_lo < kink < seg.x_hi:
-                candidates.append(kink)
-    return max(_l1_norm_at(t, x) for x in candidates)
-
-
 def ball_polygon(t: Transform2x2, radius: float) -> BallPolygon:
     """Preimage under T of the L1 ball of the given radius, as a CCW polygon.
 
@@ -165,36 +92,14 @@ def covers_sensitivity(poly: BallPolygon, seg: SensitivitySegment) -> bool:
     return all(poly.contains(p) for p in points)
 
 
-def normalize_dataset(d: BoundedDataset) -> BoundedDataset:
-    """Rescale values through (x - lower)/(upper - lower) onto bounds [0, 1]."""
-    lo, w = d.lower, d.width
-    return BoundedDataset((d.values - lo) / w, 0.0, 1.0)
-
-
 def transform_procedure_estimate(
     d: BoundedDataset,
     eps: PrivacyBudget,
     t: Transform2x2,
     noise: NoisePair,
 ) -> MeanEstimate:
-    """Transform (sum, count) of the normalized data, perturb, invert, clip.
-
-    The noise pair is interpreted coordinate-wise in the transformed space;
-    for an eps-DP release its scales should be
-    ``l1_sensitivity_under(t, UNIT_SEGMENT) / eps``.  The inverted noisy pair
-    is a (sum, count) estimate for the normalized data; the clipped ratio is
-    mapped back to [lower, upper].
-    """
-    norm = normalize_dataset(d)
-    s = norm.total
-    n = float(len(norm))
-    v1, v2 = t.apply((s, n))
-    w1 = v1 + noise.za
-    w2 = v2 + noise.zb
-    s_hat, n_hat = t.inverse().apply((w1, w2))
-    ratio = clip(_ratio(s_hat, n_hat), 0.0, 1.0)
-    return MeanEstimate(
-        d.width * ratio + d.lower,
-        None,
-        AggregateVector(s_hat, n_hat, AggregateKind.SUM_COUNT),
-    )
+    """The mechanisms' estimator with G = t and D the identity, so the noise
+    and ``noisy_aggregates`` are in t's coordinates; for an eps-DP release
+    the noise scales are ``l1_sensitivity_under(t, UNIT_SEGMENT) / eps``."""
+    first, second, value = transform_estimate(d, t, noise.za, noise.zb)
+    return MeanEstimate(float(value), None, AggregateVector(float(first), float(second)))

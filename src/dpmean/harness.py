@@ -13,9 +13,9 @@ Trials are evaluated as arrays, one cell at a time: the first two uniforms
 of every trial stream come from one counter-based Philox kernel
 (``noise.open_uniform_pairs``), then the Laplace inverse CDF, the estimator
 and the squared error run elementwise through the same functions a single
-release uses.  Per-trial squared errors are assembled in trial order and
-reduced with numpy's pairwise summation, so results are bit-identical
-regardless of worker count.
+release uses.  Per-trial squared errors are in trial order and reduced with
+numpy's pairwise summation.  A cell is one array pass, so the ``workers``
+arguments change neither results nor speed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +32,7 @@ from .mechanisms import (
     BoundedDataset,
     Mechanism,
     PrivacyBudget,
+    check_bounds,
     noise_scales,
     noisy_estimate,
     run_mechanism,  # noqa: F401  (per-trial form of _estimates; perfbench/tracing.py patches it here)
@@ -92,8 +92,7 @@ class DatasetSpec:
         lo, hi = self.bounds
         if self.size < 1:
             raise ValueError("dataset size must be at least 1")
-        if not (lo < hi):
-            raise ValueError(f"bounds must satisfy lower < upper, got {self.bounds}")
+        check_bounds(lo, hi)
         if not (lo <= self.target_mean <= hi):
             raise ValueError(f"target mean {self.target_mean} outside bounds {self.bounds}")
         if self.kind is DatasetKind.LOWER_BOUND_FAMILY:
@@ -151,37 +150,16 @@ class MseReport:
 
 
 def _estimates(
-    d: BoundedDataset, eps: PrivacyBudget, mechanism: Mechanism, seed: int, lo: int, hi: int
+    d: BoundedDataset, eps: PrivacyBudget, mechanism: Mechanism, seed: int, trials: int
 ) -> np.ndarray:
-    """Estimates of trials lo..hi-1: entry t - lo is run_mechanism on
-    stream (seed, t), evaluated for all trials at once."""
-    u_a, u_b = open_uniform_pairs(seed, np.arange(lo, hi, dtype=np.uint64))
+    """Estimates of trials 0..trials-1: entry t is run_mechanism on stream
+    (seed, t), evaluated for all trials at once."""
+    u_a, u_b = open_uniform_pairs(seed, np.arange(trials, dtype=np.uint64))
     scale_a, scale_b = noise_scales(d, mechanism, eps)
     _, _, values = noisy_estimate(
         d, mechanism, laplace_from_uniform(u_a, scale_a), laplace_from_uniform(u_b, scale_b)
     )
     return values
-
-
-def _squared_errors(
-    d: BoundedDataset,
-    mechanism,
-    eps: PrivacyBudget,
-    mu: float,
-    seed: int,
-    lo: int,
-    hi: int,
-    out: np.ndarray,
-) -> None:
-    if isinstance(mechanism, Mechanism):
-        err = _estimates(d, eps, mechanism, seed, lo, hi) - mu
-        out[lo:hi] = err * err
-        return
-    cursor = Cursor(RandomStream(seed, lo))
-    for t in range(lo, hi):
-        cursor.jump_to(RandomStream(seed, t))
-        err = mechanism(d, eps, cursor) - mu
-        out[t] = err * err
 
 
 def squared_errors(
@@ -195,29 +173,25 @@ def squared_errors(
     """Per-trial squared errors (estimate - true mean)^2, in trial order.
 
     Trial t draws its noise from stream (seed, t).  ``mechanism`` is a
-    Mechanism, or -- for testing the estimator machinery itself -- any
-    callable (dataset, eps, cursor) -> float, which is called once per
-    trial.  ``workers > 1`` splits the trials into contiguous spans computed
-    on threads; the array is the same for every worker count.
+    Mechanism, evaluated for all trials in one array pass, or -- for testing
+    the estimator machinery itself -- any callable (dataset, eps, cursor) ->
+    float, which is called once per trial.  ``workers`` is accepted for
+    compatibility and ignored.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if isinstance(mechanism, str):
         mechanism = Mechanism(mechanism)
     mu = true_mean(d)
+    if isinstance(mechanism, Mechanism):
+        err = _estimates(d, eps, mechanism, seed, trials) - mu
+        return err * err
     sq = np.empty(trials, dtype=np.float64)
-    if workers <= 1:
-        _squared_errors(d, mechanism, eps, mu, seed, 0, trials, sq)
-    else:
-        step = -(-trials // workers)
-        spans = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_squared_errors, d, mechanism, eps, mu, seed, lo, hi, sq)
-                for lo, hi in spans
-            ]
-            for f in futures:
-                f.result()
+    cursor = Cursor(RandomStream(seed, 0))
+    for t in range(trials):
+        cursor.jump_to(RandomStream(seed, t))
+        err = mechanism(d, eps, cursor) - mu
+        sq[t] = err * err
     return sq
 
 
@@ -317,7 +291,7 @@ def worst_case_over_family(
             err = two_sided_geometric_from_uniform(u, alpha).astype(np.float64)
         else:
             d = generate_dataset(family_member_spec(n, i))
-            err = n * _estimates(d, eps, Mechanism(mechanism), member_seed, 0, trials) - i
+            err = n * _estimates(d, eps, Mechanism(mechanism), member_seed, trials) - i
         worst = max(worst, float(np.sum(err * err)) / trials)
     return worst
 

@@ -1,26 +1,36 @@
 """Private mean estimators for bounded real data under add-remove adjacency.
 
-Three estimators are provided, all built on the same pattern: compute a
-two-dimensional aggregate of the dataset, perturb it with Laplace noise,
-form a ratio, and clip into the known range.
+Every mechanism here is one procedure on the normalized aggregate
+(s, n) = (sum((x - lower)/width), count): change coordinates with a 2x2
+matrix, add Laplace noise to each released coordinate, invert, and clip the
+ratio s/n into [0, 1].  A mechanism is a row of data, a pair (G, D):
 
-* independent -- noise the raw sum and the count separately, each with half
-  the budget; the sum noise scales with max(|lower|, |upper|).
-* shifted     -- recenter values at the interval midpoint before summing,
-  which shrinks the sum sensitivity to half the interval width.
-* transformed -- release the scaled sum s1 = sum((x - lower)/width) together
-  with its complement s2 = n - s1; one unit of budget covers both
-  coordinates because an added or removed record moves (s1, s2) by exactly
-  one in L1 norm.  The implied denominator noise is correlated with the
-  numerator noise, which halves the mean squared error of the shifted
-  estimator at matched budget.
+* G is a Transform2x2 on (s, n).  One added or removed record moves (s, n)
+  by +-(x, 1), x in [0, 1], and G fixes the L1 radius of the ball covering
+  those moves, ``l1_sensitivity_under(G, UNIT_SEGMENT)``.
+* D is a diagonal that maps G's coordinates to the released ones,
+  T(s, n) with T = D G; the noise scales are D * radius / eps.
 
-Each estimator is one elementwise function of the noise (``noisy_estimate``):
-it takes scalar noise or arrays of noise, one entry per trial, so the
-Monte-Carlo harness evaluates many trials at once with the very arithmetic a
-single release uses.  Noise is always injected explicitly (a NoisePair, or
-arrays) so behaviour is exactly testable; run_mechanism is the only sampling
-wrapper.
+With bounds [l, u], w = u - l and B = max(|l|, |u|):
+
+=========== ==================== ====== ===================== ======
+mechanism   G                    D      released T(s, n)      radius
+=========== ==================== ====== ===================== ======
+independent [[w/B, l/B], [0, 1]] (B, 1) (sum, n)              2
+shifted     CENTERING_TRANSFORM  (w, 2) (sum - midpoint*n, n) 1
+transformed COMPLEMENT_TRANSFORM (1, 1) (s, n - s)            1
+=========== ==================== ====== ===================== ======
+
+The complement transform fits the ball exactly to the moves, and its
+implied count noise is correlated with the numerator noise; this halves the
+mean squared error of the shifted mechanism at matched budget.
+
+``transform_estimate`` is the one estimator: v = T(s, n) + z,
+(s^, n^) = T^-1 v, estimate w * clip(s^/n^, 0, 1) + l, elementwise on scalar
+noise or on arrays of noise (one entry per trial), so the Monte-Carlo
+harness runs a single release's arithmetic on many trials at once.  Noise is
+always injected explicitly, so behaviour is exactly testable; run_mechanism
+is the only sampling wrapper.
 """
 
 from __future__ import annotations
@@ -39,12 +49,6 @@ class Mechanism(str, enum.Enum):
     INDEPENDENT = "independent"
     SHIFTED = "shifted"
     TRANSFORMED = "transformed"
-
-
-class AggregateKind(str, enum.Enum):
-    SUM_COUNT = "sum_count"
-    SHIFTED_SUM_COUNT = "shifted_sum_count"
-    TRANSFORMED_PAIR = "transformed_pair"
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,7 @@ class BoundedDataset:
         return math.fsum(self.values.tolist())
 
     @cached_property
-    def shifted_total(self) -> float:
+    def shifted_total(self) -> float:  # read by the benchmark's layer timings only
         return math.fsum((self.values - self.midpoint).tolist())
 
     @cached_property
@@ -121,17 +125,100 @@ class BoundedDataset:
 
 
 @dataclass(frozen=True)
+class Transform2x2:
+    """Invertible 2x2 matrix acting on aggregate vectors; ``apply`` works
+    elementwise on arrays."""
+
+    a11: float
+    a12: float
+    a21: float
+    a22: float
+
+    def __post_init__(self) -> None:
+        if self.determinant == 0.0:
+            raise ValueError("transform must be invertible (nonzero determinant)")
+
+    @property
+    def determinant(self) -> float:
+        return self.a11 * self.a22 - self.a12 * self.a21
+
+    def apply(self, v):
+        x, y = v
+        return (_combine(self.a11, x, self.a12, y), _combine(self.a21, x, self.a22, y))
+
+    def inverse(self) -> "Transform2x2":
+        det = self.determinant
+        return Transform2x2(self.a22 / det, -self.a12 / det, -self.a21 / det, self.a11 / det)
+
+
+def _combine(a: float, x, b: float, y):
+    """a*x + b*y.  A zero coefficient drops its term, so an infinite or NaN
+    entry there does not turn the result into NaN, and a unit coefficient
+    skips an exact multiplication, which saves array passes."""
+    if b == 0.0:
+        return x if a == 1.0 else a * x
+    by = y if b == 1.0 else b * y
+    if a == 0.0:
+        return by
+    return (x if a == 1.0 else a * x) + by
+
+
+#: No change of coordinates; needs an L1 ball of radius 2 to cover +-(x, 1).
+#: It is the independent mechanism's G on bounds [0, 1].
+IDENTITY_TRANSFORM = Transform2x2(1.0, 0.0, 0.0, 1.0)
+
+#: (s, n) -> (s - n/2, n/2): recentering at the interval midpoint plus a
+#: count rescale; the shifted mechanism's G.
+CENTERING_TRANSFORM = Transform2x2(1.0, -0.5, 0.0, 0.5)
+
+#: (s, n) -> (s, n - s): the scaled-sum / complement pair; the transformed
+#: mechanism's G, which fits the covering ball exactly to the convex hull of
+#: the aggregate differences.
+COMPLEMENT_TRANSFORM = Transform2x2(1.0, 0.0, -1.0, 1.0)
+
+
+@dataclass(frozen=True)
+class SensitivitySegment:
+    """The aggregate-difference family +-(x, 1) for x in [x_lo, x_hi]."""
+
+    x_lo: float
+    x_hi: float
+
+    def __post_init__(self) -> None:
+        if not (self.x_lo <= self.x_hi):
+            raise ValueError(f"segment requires x_lo <= x_hi, got [{self.x_lo}, {self.x_hi}]")
+
+
+UNIT_SEGMENT = SensitivitySegment(0.0, 1.0)
+
+
+def l1_sensitivity_under(t: Transform2x2, seg: SensitivitySegment) -> float:
+    """Largest L1 norm of T(x, 1) over the segment.
+
+    The norm is a piecewise-linear convex function of x, so it suffices to
+    evaluate the endpoints plus the kinks where a transformed coordinate
+    crosses zero.
+    """
+    candidates = [seg.x_lo, seg.x_hi]
+    for num, den in ((t.a12, t.a11), (t.a22, t.a21)):
+        if den != 0.0:
+            kink = -num / den
+            if seg.x_lo < kink < seg.x_hi:
+                candidates.append(kink)
+    return max(sum(map(abs, t.apply((x, 1.0)))) for x in candidates)
+
+
+@dataclass(frozen=True)
 class AggregateVector:
     """A two-dimensional statistic (exact or noise-perturbed)."""
 
     first: float
     second: float
-    kind: AggregateKind
 
 
 @dataclass(frozen=True)
 class NoisePair:
-    """Additive perturbations for the two aggregate coordinates.
+    """Additive perturbations for the two released coordinates.
 
     No finiteness check: tests deliberately inject infinities to probe the
     clipping guarantee.
@@ -148,9 +235,41 @@ class MeanEstimate:
     noisy_aggregates: AggregateVector
 
 
+def mechanism_row(
+    d: BoundedDataset, mechanism: Mechanism
+) -> tuple[Transform2x2, tuple[float, float]]:
+    """The mechanism's (G, D) on the dataset's bounds: the module table."""
+    mechanism = Mechanism(mechanism)
+    if mechanism is Mechanism.INDEPENDENT:
+        b = max(abs(d.lower), abs(d.upper))
+        return Transform2x2(d.width / b, d.lower / b, 0.0, 1.0), (b, 1.0)
+    if mechanism is Mechanism.SHIFTED:
+        return CENTERING_TRANSFORM, (d.width, 2.0)
+    return COMPLEMENT_TRANSFORM, (1.0, 1.0)
+
+
+def released_transform(d: BoundedDataset, mechanism: Mechanism) -> Transform2x2:
+    """T = D G: from the normalized aggregate (s, n) to the released pair."""
+    g, (d1, d2) = mechanism_row(d, mechanism)
+    return Transform2x2(d1 * g.a11, d1 * g.a12, d2 * g.a21, d2 * g.a22)
+
+
+def noise_scales(d: BoundedDataset, mechanism: Mechanism, eps: PrivacyBudget) -> tuple[float, float]:
+    """Laplace scales (for za, zb) that make the mechanism eps-DP under
+    add-remove adjacency: D times the L1 radius of G, over eps."""
+    g, (d1, d2) = mechanism_row(d, mechanism)
+    radius = l1_sensitivity_under(g, UNIT_SEGMENT)
+    return d1 * radius / eps.epsilon, d2 * radius / eps.epsilon
+
+
+def exact_aggregates(d: BoundedDataset, mechanism: Mechanism) -> AggregateVector:
+    """The pre-noise pair T(s, n) released by the given mechanism."""
+    return AggregateVector(*released_transform(d, mechanism).apply((d.scaled_total, float(len(d)))))
+
+
 def _clip(x, lo: float, hi: float):
     """``clip``, elementwise on arrays (a scalar gives a float).  The
-    estimators call this directly; ``clip`` is the scalar entry point, which
+    estimator calls this directly; ``clip`` is the scalar entry point, which
     callers may wrap with scalar-only code (perfbench counts clips so)."""
     if lo > hi:
         raise ValueError(f"clip range is empty: [{lo}, {hi}]")
@@ -182,75 +301,31 @@ def _ratio(num, den):
         return np.divide(num, den + 0.0)
 
 
-def exact_aggregates(d: BoundedDataset, mechanism: Mechanism) -> AggregateVector:
-    """The pre-noise aggregate pair released by the given mechanism."""
-    mechanism = Mechanism(mechanism)
-    n = float(len(d))
-    if mechanism is Mechanism.INDEPENDENT:
-        return AggregateVector(d.total, n, AggregateKind.SUM_COUNT)
-    if mechanism is Mechanism.SHIFTED:
-        return AggregateVector(d.shifted_total, n, AggregateKind.SHIFTED_SUM_COUNT)
-    s1 = d.scaled_total
-    return AggregateVector(s1, n - s1, AggregateKind.TRANSFORMED_PAIR)
+def transform_estimate(d: BoundedDataset, t: Transform2x2, za, zb):
+    """The one estimator: release v = T(s, n) + (za, zb), invert to
+    (s^, n^) = T^-1 v, and return (v1, v2, w * clip(s^/n^, 0, 1) + l).
 
-
-def noise_scales(d: BoundedDataset, mechanism: Mechanism, eps: PrivacyBudget) -> tuple[float, float]:
-    """Laplace scales (for za, zb) that make the mechanism eps-DP under
-    add-remove adjacency."""
-    mechanism = Mechanism(mechanism)
-    e = eps.epsilon
-    if mechanism is Mechanism.INDEPENDENT:
-        w_abs = max(abs(d.lower), abs(d.upper))
-        return 2.0 * w_abs / e, 2.0 / e
-    if mechanism is Mechanism.SHIFTED:
-        return d.width / e, 2.0 / e
-    return 1.0 / e, 1.0 / e
-
-
-def _independent(d: BoundedDataset, za, zb):
-    s_hat = d.total + za
-    n_hat = len(d) + zb
-    return s_hat, n_hat, _clip(_ratio(s_hat, n_hat), d.lower, d.upper)
-
-
-def _shifted(d: BoundedDataset, za, zb):
-    half_w = d.width / 2.0
-    s_hat = d.shifted_total + za
-    n_hat = len(d) + zb
-    return s_hat, n_hat, _clip(_ratio(s_hat, n_hat), -half_w, half_w) + d.midpoint
-
-
-def _transformed(d: BoundedDataset, za, zb):
-    s1 = d.scaled_total
-    s1_hat = s1 + za
-    s2_hat = (len(d) - s1) + zb
-    ratio = _clip(_ratio(s1_hat, s1_hat + s2_hat), 0.0, 1.0)
-    return s1_hat, s2_hat, d.width * ratio + d.lower
-
-
-_ESTIMATORS = {
-    Mechanism.INDEPENDENT: (_independent, AggregateKind.SUM_COUNT),
-    Mechanism.SHIFTED: (_shifted, AggregateKind.SHIFTED_SUM_COUNT),
-    Mechanism.TRANSFORMED: (_transformed, AggregateKind.TRANSFORMED_PAIR),
-}
+    Elementwise: za, zb are scalars or equal-shape arrays, one entry per
+    trial.
+    """
+    if len(d) == 0:
+        raise ValueError("cannot estimate the mean of an empty dataset")
+    first, second = t.apply((d.scaled_total, float(len(d))))
+    with np.errstate(invalid="ignore", over="ignore"):
+        first, second = first + za, second + zb
+        s_hat, n_hat = t.inverse().apply((first, second))
+        return first, second, d.width * _clip(_ratio(s_hat, n_hat), 0.0, 1.0) + d.lower
 
 
 def noisy_estimate(d: BoundedDataset, mechanism: Mechanism, za, zb):
-    """The mechanism's noisy aggregate pair and clipped estimate for noise
-    (za, zb), elementwise: scalars or equal-shape arrays, one entry per
-    trial.  Returns (first, second, estimate); see ``estimate_*`` for what
-    each mechanism computes."""
-    if len(d) == 0:
-        raise ValueError("cannot estimate the mean of an empty dataset")
-    estimator, _ = _ESTIMATORS[Mechanism(mechanism)]
-    with np.errstate(invalid="ignore", over="ignore"):
-        return estimator(d, za, zb)
+    """``transform_estimate`` in the mechanism's released coordinates, with
+    noise (za, zb) on those coordinates."""
+    return transform_estimate(d, released_transform(d, mechanism), za, zb)
 
 
 def _mean_estimate(d: BoundedDataset, mechanism: Mechanism, noise: NoisePair) -> MeanEstimate:
     first, second, value = noisy_estimate(d, mechanism, noise.za, noise.zb)
-    kind = _ESTIMATORS[mechanism][1]
-    return MeanEstimate(float(value), mechanism, AggregateVector(float(first), float(second), kind))
+    return MeanEstimate(float(value), mechanism, AggregateVector(float(first), float(second)))
 
 
 def estimate_independent(d: BoundedDataset, eps: PrivacyBudget, noise: NoisePair) -> MeanEstimate:

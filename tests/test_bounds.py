@@ -23,12 +23,31 @@ from dpmean.bounds import (
     transformed_mse_bound_from_stats,
     transformed_mse_bound_leading,
 )
-from dpmean.mechanisms import BoundedDataset, Mechanism, PrivacyBudget
+from dpmean.mechanisms import (
+    BoundedDataset,
+    Mechanism,
+    PrivacyBudget,
+    noise_scales,
+    noisy_estimate,
+    true_mean,
+)
 
 # Series oracle values for 2a/(1-a)^2, a = exp(-eps); frozen from summing
 # 2 * sum_k k^2 (1-a)/(1+a) a^k to convergence.
 GEO_VAR_EPS_HALF = 7.835396178065527
 GEO_VAR_EPS_ONE = 1.8413471884155848
+
+
+
+def closed_form_laplace_terms(a, b, cap, scale_a, scale_b):
+    """(linear_sq, remainder_sq_bound, tail) for independent Laplace Z_a, Z_b:
+    the closed form that the generic moment builder replaced, kept as a
+    reference."""
+    linear_sq = 2.0 * scale_a**2 / b**2 + a**2 * 2.0 * scale_b**2 / b**4
+    remainder = (8.0 * cap**2 * 24.0 * scale_b**4 + 8.0 * 4.0 * scale_a**2 * scale_b**2) / b**4
+    tail = 4.0 * cap**2 * 0.5 * math.exp(-b / (2.0 * scale_b))
+    return linear_sq, remainder, tail
+
 
 bounded_triples = st.tuples(
     st.floats(min_value=0.01, max_value=50.0),
@@ -152,7 +171,7 @@ class TestClippedRatioTerms:
         with pytest.raises(ValueError):
             clipped_ratio_terms(20.0, 10.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            ClippedRatioTerms(20.0, 10.0, 1.0, 1.0, 1.0, 0.1, 0.1, 0.0)
+            ClippedRatioTerms(20.0, 10.0, 1.0, 0.1, 0.1, 0.0)
 
     def test_shifted_terms_match_leading_formula(self):
         n, eps = 1000, 0.5
@@ -167,6 +186,28 @@ class TestClippedRatioTerms:
         terms = clipped_ratio_terms_for(d, Mechanism.TRANSFORMED, PrivacyBudget(eps))
         expected = (1.0 + 4.0 * 0.25**2) / (n**2 * eps**2)
         assert terms.linear_sq == pytest.approx(expected, rel=1e-12)
+
+    def test_independent_laplace_terms_match_closed_form(self):
+        for args in ((5.0, 10.0, 1.0, 1.0, 0.8), (-3.0, 6.0, 1.0, 0.5, 0.5), (0.0, 8.0, 0.5, 2.0, 1.0)):
+            terms = clipped_ratio_terms(*args)
+            got = (terms.linear_sq, terms.remainder_sq_bound, terms.tail)
+            assert got == pytest.approx(closed_form_laplace_terms(*args), rel=1e-12)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (2.0, 4.0), (-1.0, 3.0)])
+    def test_generic_shifted_terms_match_closed_form(self, lo, hi):
+        # the closed form bounds the shifted ratio in data units around the
+        # midpoint; the generic terms are in normalized units, w times smaller
+        rng = np.random.default_rng(5)
+        w, eps = hi - lo, PrivacyBudget(0.5)
+        for n in (1, 7, 300):
+            d = BoundedDataset(rng.uniform(lo, hi, n), lo, hi)
+            shifted_sum = math.fsum((d.values - d.midpoint).tolist())
+            old = closed_form_laplace_terms(shifted_sum, n, w / 2.0, w / 0.5, 2.0 / 0.5)
+            terms = clipped_ratio_terms_for(d, Mechanism.SHIFTED, eps)
+            got = (terms.linear_sq, terms.remainder_sq_bound, terms.tail)
+            assert [w**2 * g for g in got] == pytest.approx(old, rel=1e-12)
+            old_bound = old[0] + old[1] + 2.0 * math.sqrt(old[0] * old[1]) + old[2]
+            assert mechanism_mse_bound(d, Mechanism.SHIFTED, eps) == pytest.approx(old_bound, rel=1e-12)
 
     def test_bound_collapses_to_linear_term_for_large_n(self):
         d = BoundedDataset((0.6,) * 1_000_000, 0.0, 1.0)
@@ -219,6 +260,19 @@ class TestBoundValidity:
         ratio = np.nan_to_num(ratio, nan=0.5)
         mse = float(np.mean((np.clip(ratio, 0.0, 1.0) - s1 / n) ** 2))
         assert mse <= mechanism_mse_bound(d, Mechanism.TRANSFORMED, PrivacyBudget(eps))
+
+    def test_independent_mechanism_on_wide_bounds(self):
+        # the package's estimator on plain numpy noise at its own scales
+        rng = np.random.default_rng(44)
+        eps = PrivacyBudget(0.5)
+        for n in (30, 200):
+            d = BoundedDataset(np.linspace(-1.0, 3.0, n) ** 2 / 3.0 - 1.0, -1.0, 3.0)
+            sa, sb = noise_scales(d, Mechanism.INDEPENDENT, eps)
+            za = rng.laplace(scale=sa, size=400_000)
+            zb = rng.laplace(scale=sb, size=400_000)
+            _, _, est = noisy_estimate(d, Mechanism.INDEPENDENT, za, zb)
+            mse = float(np.mean((est - true_mean(d)) ** 2))
+            assert mse <= mechanism_mse_bound(d, Mechanism.INDEPENDENT, eps)
 
     def test_mechanism_bound_scales_with_width(self):
         d01 = BoundedDataset((0.25,) * 50, 0.0, 1.0)

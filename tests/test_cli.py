@@ -155,6 +155,16 @@ class TestEstimateValidation:
             assert code == 2 and out == ""
             assert "epsilon" in err and "line" not in err and "cannot read" not in err
 
+    def test_undecodable_input_rejected(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"0.5\n\xff\xfe0.2\n")
+        code, out, err = run(
+            ESTIMATE_HEAD + ["--input", str(path), "--lower", "0", "--upper", "1", "--epsilon", "0.5"],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "internal error" not in err
+
     def test_only_newlines_separate_lines(self, tmp_path, capsys):
         # A form feed is not a line break: the first line is not a number,
         # and a whitespace-only line of \x0c still counts as one line.
@@ -307,6 +317,24 @@ class TestFigures:
         )
         assert code == 0
         assert out_path.read_text().startswith(CSV_HEADER)
+
+    def test_infinite_bounds_rejected(self, tmp_path, capsys):
+        config = {
+            "mechanisms": ["transformed"],
+            "epsilons": [0.5],
+            "dataset_specs": [
+                {"kind": "two_point", "size": 30, "target_mean": 0.5, "bounds": [0.0, float("inf")]}
+            ],
+            "trials": 10,
+            "seed": 21,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))  # writes the bound as Infinity
+        code, _, err = run(
+            ["figures", "--input", str(cfg_path), "--output", str(tmp_path / "x.csv")], capsys
+        )
+        assert code == 2
+        assert "bounds must be finite" in err and "internal error" not in err
 
     def test_preset_required(self, capsys):
         code, _, err = run(["figures"], capsys)

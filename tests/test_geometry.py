@@ -17,7 +17,6 @@ from dpmean.geometry import (
     ball_polygon,
     covers_sensitivity,
     l1_sensitivity_under,
-    normalize_dataset,
     transform_procedure_estimate,
 )
 from dpmean.mechanisms import (
@@ -195,21 +194,21 @@ class TestCoverage:
 
 
 class TestNormalize:
+    """Every mechanism releases a transform of the normalized sum s."""
+
     def test_rescales_to_unit(self):
         d = BoundedDataset((2.0, 3.0, 4.0), 2.0, 4.0)
-        norm = normalize_dataset(d)
-        assert tuple(norm.values) == (0.0, 0.5, 1.0)
-        assert (norm.lower, norm.upper) == (0.0, 1.0)
+        assert d.scaled_total == math.fsum((0.0, 0.5, 1.0))
 
     def test_unit_dataset_unchanged(self):
         d = BoundedDataset((0.1, 0.9), 0.0, 1.0)
-        assert tuple(normalize_dataset(d).values) == tuple(d.values)
+        assert d.scaled_total == d.total
 
     @given(st.lists(st.floats(min_value=-5, max_value=7), min_size=1, max_size=30))
     def test_mean_relation(self, values):
         d = BoundedDataset(tuple(values), -5.0, 7.0)
-        norm = normalize_dataset(d)
-        assert true_mean(norm) == pytest.approx((true_mean(d) + 5.0) / 12.0, rel=1e-12, abs=1e-12)
+        normalized_mean = d.scaled_total / len(d)
+        assert normalized_mean == pytest.approx((true_mean(d) + 5.0) / 12.0, rel=1e-12, abs=1e-12)
 
 
 class TestTransformProcedure:

@@ -77,6 +77,11 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             DatasetSpec(DatasetKind.CONSTANT, 3, 1.5, (0.0, 1.0))
 
+    def test_bounds_must_be_finite(self):
+        for bounds in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, 0.0)):
+            with pytest.raises(ValueError, match="bounds must be finite"):
+                DatasetSpec(DatasetKind.CONSTANT, 3, 0.5, bounds)
+
     def test_family_requires_k(self):
         with pytest.raises(ValueError):
             DatasetSpec(DatasetKind.LOWER_BOUND_FAMILY, 3, 0.5, (0.0, 1.0))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmean.mechanisms import (
-    AggregateKind,
     BoundedDataset,
     Mechanism,
     NoisePair,
@@ -39,6 +39,25 @@ ESTIMATORS = {
 
 finite_noise = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 any_noise = st.floats(allow_nan=True, allow_infinity=True)
+
+
+# The closed-form estimators that the one transform/invert/clip estimator
+# replaced, kept as references: each clips the ratio of its own noisy pair.
+def independent_oracle(d, za, zb):
+    return clip(_ratio(d.total + za, len(d) + zb), d.lower, d.upper)
+
+
+def shifted_oracle(d, za, zb):
+    half_w = d.width / 2.0
+    shifted_sum = math.fsum((d.values - d.midpoint).tolist())
+    return clip(_ratio(shifted_sum + za, len(d) + zb), -half_w, half_w) + d.midpoint
+
+
+def transformed_oracle(d, za, zb):
+    s1 = d.scaled_total
+    s1_hat = s1 + za
+    s2_hat = (len(d) - s1) + zb
+    return d.width * clip(_ratio(s1_hat, s1_hat + s2_hat), 0.0, 1.0) + d.lower
 
 
 def unit_dataset(values):
@@ -196,6 +215,34 @@ class TestNoisyEstimate:
                 )
 
 
+class TestClosedFormOracles:
+    @settings(max_examples=300)
+    @given(
+        st.floats(min_value=-100.0, max_value=100.0),
+        st.floats(min_value=0.01, max_value=200.0),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
+        finite_noise,
+        finite_noise,
+    )
+    def test_generic_estimator_matches_closed_forms(self, lo, span, fractions, za, zb):
+        hi = lo + span
+        d = BoundedDataset([min(hi, lo + f * span) for f in fractions], lo, hi)
+        noise = NoisePair(za, zb)
+        assert estimate_transformed(d, EPS, noise).value == transformed_oracle(d, za, zb)
+        for est, oracle in ((estimate_independent, independent_oracle), (estimate_shifted, shifted_oracle)):
+            got, want = est(d, EPS, noise).value, oracle(d, za, zb)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (est.__name__, got, want)
+
+    def test_transformed_matches_closed_form_on_nonfinite_noise(self):
+        # the inverse's zero coefficient drops its term, so an infinite or NaN
+        # coordinate does not leak into the other one as 0 * inf
+        d = BoundedDataset((2.5, 3.5, 2.0), 2.0, 4.0)
+        edge = (0.0, 1.5, -2.0, math.inf, -math.inf, math.nan)
+        for za, zb in itertools.product(edge, edge):
+            got = estimate_transformed(d, EPS, NoisePair(za, zb)).value
+            assert np.array_equal(got, transformed_oracle(d, za, zb), equal_nan=True), (za, zb)
+
+
 class TestTrueMean:
     def test_examples(self):
         assert true_mean(unit_dataset([0.2, 0.4, 0.6])) == pytest.approx(0.4, rel=1e-15)
@@ -272,7 +319,6 @@ class TestTransformed:
     def test_aggregate_pair_invariants(self):
         d = BoundedDataset((2.2, 3.7, 2.9), 2.0, 4.0)
         agg = exact_aggregates(d, Mechanism.TRANSFORMED)
-        assert agg.kind is AggregateKind.TRANSFORMED_PAIR
         assert agg.first >= 0.0
         assert agg.second >= 0.0
         assert agg.first + agg.second == pytest.approx(len(d), rel=1e-15)
@@ -281,7 +327,6 @@ class TestTransformed:
     def test_sum_count_aggregate_invariants(self, values):
         d = BoundedDataset(tuple(values), -1.0, 3.0)
         agg = exact_aggregates(d, Mechanism.INDEPENDENT)
-        assert agg.kind is AggregateKind.SUM_COUNT
         assert agg.second == len(d)
         assert d.lower * agg.second - 1e-9 <= agg.first <= d.upper * agg.second + 1e-9
 

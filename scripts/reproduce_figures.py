@@ -22,7 +22,6 @@ def main() -> int:
     parser.add_argument("--outdir", default="results")
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
@@ -33,7 +32,6 @@ def main() -> int:
             "figures",
             "--preset", preset,
             "--seed", str(args.seed),
-            "--workers", str(args.workers),
             "--output", str(outdir / f"{preset}.csv"),
         ]
         if args.trials is not None:

@@ -68,7 +68,6 @@ from .noise import (
     GeometricParams,
     LaplaceParams,
     RandomStream,
-    derive_stream,
     laplace_from_uniform,
     laplace_sample,
     open_uniform_pairs,

@@ -41,11 +41,6 @@ class RiskReport:
     asymptotic: bool = True
 
 
-def _check_budget(eps: float) -> None:
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"epsilon must be positive and finite, got {eps}")
-
-
 def minmax_leading(eps: float, lower: float, upper: float) -> float:
     """2(u-l)^2/eps^2, the leading worst-case normalized MSE.
 
@@ -55,7 +50,7 @@ def minmax_leading(eps: float, lower: float, upper: float) -> float:
     and the information-theoretic floor for add-remove adjacency, whose true
     statement carries a 1 - o(1) factor taken here as exactly 1.
     """
-    _check_budget(eps)
+    PrivacyBudget(eps)
     check_bounds(lower, upper)
     return 2.0 * (upper - lower) ** 2 / eps**2
 
@@ -83,7 +78,7 @@ def transformed_mse_bound_from_stats(
 ) -> float:
     """Leading MSE bound for the transformed estimator on a dataset of size
     n with the given mean: ((u-l)^2 + 4(mean-midpoint)^2) / (n eps)^2."""
-    _check_budget(eps)
+    PrivacyBudget(eps)
     check_bounds(lower, upper)
     if n < 1:
         raise ValueError("dataset size must be at least 1")
@@ -103,7 +98,7 @@ def transformed_mse_bound_leading(d: BoundedDataset, eps: PrivacyBudget) -> floa
 def geometric_count_variance(eps: float) -> float:
     """Exact MSE of the unbiased geometric count release: 2a/(1-a)^2 with
     a = exp(-eps).  Approaches 2/eps^2 from below as eps -> 0."""
-    _check_budget(eps)
+    PrivacyBudget(eps)
     alpha = math.exp(-eps)
     return 2.0 * alpha / (1.0 - alpha) ** 2
 

@@ -174,7 +174,8 @@ def _figure_extras(name: str | None, reports) -> dict[str, list[float]]:
     if name == "fig2b":
         return {
             "ratio_to_bound": [
-                r.normalized_mse / (2.0 / r.epsilon**2) for r in reports
+                r.normalized_mse / minmax_leading(r.epsilon, *r.dataset_spec.bounds)
+                for r in reports
             ]
         }
     if name == "fig2c":
@@ -201,13 +202,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
         try:
             data = json.loads(Path(args.input).read_text())
             config = config_from_json(data)
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad sweep config {args.input}: {exc}") from exc
         name = None
     else:
         raise ValidationError("figures needs --preset or --input (sweep config JSON)")
     out = Path(args.output) if args.output else Path(f"{name or 'sweep'}.csv")
-    reports = sweep(config, workers=args.workers)
+    reports = sweep(config)
     csv_text = reports_to_csv(reports, extra_columns=_figure_extras(name, reports))
     try:
         out.write_text(csv_text)
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--trials", type=int, default=None, help="override preset trial count")
     p_fig.add_argument("--seed", type=int, default=None, help="64-bit seed; default: entropy")
     p_fig.add_argument(
-        "--workers", type=int, default=1, help="ignored: results and speed do not depend on it"
+        "--workers", type=int, default=1, help="accepted and ignored; kept for compatibility"
     )
     p_fig.add_argument("--output", default=None, help="output CSV path")
     p_fig.set_defaults(func=cmd_figures)

@@ -14,8 +14,8 @@ of every trial stream come from one counter-based Philox kernel
 (``noise.open_uniform_pairs``), then the Laplace inverse CDF, the estimator
 and the squared error run elementwise through the same functions a single
 release uses.  Per-trial squared errors are in trial order and reduced with
-numpy's pairwise summation.  A cell is one array pass, so the ``workers``
-arguments change neither results nor speed.
+numpy's pairwise summation.  A cell is one array pass; ``estimate_mse``
+accepts and ignores a ``workers`` argument.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .noise import (
     Cursor,
     GeometricParams,
     RandomStream,
+    check_uint64,
     laplace_from_uniform,
     open_uniform_pairs,
     two_sided_geometric_from_uniform,
@@ -57,6 +58,13 @@ GEOMETRIC_COUNT = "geometric_count"
 
 _MASK64 = 2**64 - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _derived_seed(seed: int, index: int) -> int:
@@ -90,14 +98,12 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         lo, hi = self.bounds
-        if self.size < 1:
-            raise ValueError("dataset size must be at least 1")
+        _check_count("dataset size", self.size)
         check_bounds(lo, hi)
         if not (lo <= self.target_mean <= hi):
             raise ValueError(f"target mean {self.target_mean} outside bounds {self.bounds}")
         if self.kind is DatasetKind.LOWER_BOUND_FAMILY:
-            if self.family_k is None or self.family_k < 1:
-                raise ValueError("lower_bound_family requires family_k >= 1")
+            _check_count("family_k", self.family_k)
 
 
 def family_member_spec(n: int, i: int, bounds: tuple[float, float] = (0.0, 1.0)) -> DatasetSpec:
@@ -128,12 +134,10 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not all(e > 0 and math.isfinite(e) for e in self.epsilons):
-            raise ValueError("all epsilons must be positive and finite")
-        if not (0 <= self.seed <= _MASK64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        _check_count("trials", self.trials)
+        for e in self.epsilons:
+            PrivacyBudget(e)
+        check_uint64("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -168,18 +172,15 @@ def squared_errors(
     eps: PrivacyBudget,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> np.ndarray:
     """Per-trial squared errors (estimate - true mean)^2, in trial order.
 
     Trial t draws its noise from stream (seed, t).  ``mechanism`` is a
     Mechanism, evaluated for all trials in one array pass, or -- for testing
     the estimator machinery itself -- any callable (dataset, eps, cursor) ->
-    float, which is called once per trial.  ``workers`` is accepted for
-    compatibility and ignored.
+    float, which is called once per trial.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_count("trials", trials)
     if isinstance(mechanism, str):
         mechanism = Mechanism(mechanism)
     mu = true_mean(d)
@@ -208,11 +209,11 @@ def estimate_mse(
 
     The squared errors are those of ``squared_errors``.  ``stderr`` is their
     sample standard deviation divided by sqrt(trials) (zero when
-    trials == 1).
+    trials == 1).  ``workers`` is accepted and ignored.
     """
     if isinstance(mechanism, str):
         mechanism = Mechanism(mechanism)
-    sq = squared_errors(d, mechanism, eps, trials, seed, workers)
+    sq = squared_errors(d, mechanism, eps, trials, seed)
     mse = float(np.sum(sq)) / trials
     stderr = float(np.std(sq, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
     n = len(d)
@@ -229,7 +230,7 @@ def estimate_mse(
     )
 
 
-def sweep(config: ExperimentConfig, workers: int = 1) -> list[MseReport]:
+def sweep(config: ExperimentConfig) -> list[MseReport]:
     """Run the Cartesian product (mechanism, epsilon, dataset_spec) in that
     nesting order; deterministic given the config seed.  Each distinct spec
     is built into a dataset once and shared by its cells."""
@@ -253,7 +254,6 @@ def sweep(config: ExperimentConfig, workers: int = 1) -> list[MseReport]:
                     PrivacyBudget(e),
                     config.trials,
                     _derived_seed(config.seed, index),
-                    workers=workers,
                     dataset_spec=spec,
                 )
             )
@@ -279,8 +279,8 @@ def worst_case_over_family(
     released with two-sided geometric noise of decay exp(-eps).  Compare the
     result against the 2/eps^2 benchmark.
     """
-    if k < 1:
-        raise ValueError("family needs k >= 1 members")
+    _check_count("k", k)
+    _check_count("trials", trials)
     worst = -math.inf
     geometric = mechanism == GEOMETRIC_COUNT
     alpha = GeometricParams(math.exp(-eps.epsilon)).alpha if geometric else None

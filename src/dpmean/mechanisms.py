@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,11 +54,16 @@ class Mechanism(str, enum.Enum):
 
 @dataclass(frozen=True)
 class PrivacyBudget:
+    """A privacy budget epsilon: a real number (not a bool), positive and
+    finite.  Every other check of an epsilon constructs one of these."""
+
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        e = self.epsilon
+        real = isinstance(e, numbers.Real) and not isinstance(e, bool)
+        if not (real and e > 0 and math.isfinite(e)):
+            raise ValueError(f"epsilon must be positive and finite, got {e!r}")
 
 
 def check_bounds(lower: float, upper: float) -> None:

@@ -42,6 +42,16 @@ _SHIFT32 = np.uint64(32)
 _SHIFT_DOUBLE = np.uint64(11)  # Generator.random() keeps the top 53 bits
 
 
+def check_uint64(name: str, value) -> int:
+    """Return ``value`` as an int if it is a Python or NumPy integer in
+    [0, 2^64 - 1]; raise ValueError for anything else, bools and floats
+    included."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and 0 <= value <= _UINT64_MAX):
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class LaplaceParams:
     """Scale b of the Laplace distribution with density exp(-|x|/b)/(2b)."""
@@ -72,18 +82,11 @@ class RandomStream:
     stream_id: int
 
     def __post_init__(self) -> None:
-        for name in ("seed", "stream_id"):
-            v = getattr(self, name)
-            if not (0 <= v <= _UINT64_MAX):
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v}")
+        check_uint64("seed", self.seed)
+        check_uint64("stream_id", self.stream_id)
 
     def cursor(self) -> "Cursor":
         return Cursor(self)
-
-
-def derive_stream(seed: int, stream_id: int) -> RandomStream:
-    """Return the substream descriptor for (seed, stream_id)."""
-    return RandomStream(seed, stream_id)
 
 
 class Cursor:
@@ -102,11 +105,6 @@ class Cursor:
         )
         self._gen = np.random.Generator(self._bitgen)
         self._state = self._bitgen.state
-        self._stream = stream
-
-    @property
-    def stream(self) -> RandomStream:
-        return self._stream
 
     def jump_to(self, stream: RandomStream) -> None:
         """Reposition this cursor at the origin of ``stream``."""
@@ -120,7 +118,6 @@ class Cursor:
         st["has_uint32"] = 0
         st["uinteger"] = 0
         self._bitgen.state = st
-        self._stream = stream
 
     def uniform_open(self) -> float:
         """One uniform draw from the open interval (0, 1)."""
@@ -203,9 +200,7 @@ def philox_first_words(seed: int, stream_ids) -> tuple[np.ndarray, np.ndarray]:
     its zero-initialised counter before generating, so these are the first
     two 64-bit words that ``np.random.Philox(key=[seed, id])`` produces.
     """
-    if not 0 <= seed <= _UINT64_MAX:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    k0 = int(seed)
+    k0 = check_uint64("seed", seed)
     k1 = np.array(stream_ids, dtype=np.uint64, ndmin=1)  # 0-d math would warn on wraparound
     c0 = np.ones_like(k1)
     c1 = c2 = c3 = np.zeros_like(k1)

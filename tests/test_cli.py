@@ -9,6 +9,10 @@ from dpmean.cli import _read_values, main
 from dpmean.harness import CSV_HEADER
 
 
+TWO_POINT_SPEC = {"kind": "two_point", "size": 30, "target_mean": 0.5, "bounds": [0.0, 1.0]}
+FAMILY_SPEC = {"kind": "lower_bound_family", "size": 30, "target_mean": 0.1, "bounds": [0.0, 1.0]}
+
+
 @pytest.fixture
 def data_file(tmp_path):
     path = tmp_path / "values.txt"
@@ -335,6 +339,41 @@ class TestFigures:
         )
         assert code == 2
         assert "bounds must be finite" in err and "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"trials": 10.5},
+            {"trials": True},
+            {"seed": 1.5},
+            {"seed": True},
+            {"epsilons": ["0.5"]},
+            {"epsilons": [True]},
+            {"dataset_specs": [{**TWO_POINT_SPEC, "size": 10.5}]},
+            {"dataset_specs": [{**TWO_POINT_SPEC, "size": True}]},
+            {"dataset_specs": [{**FAMILY_SPEC, "family_k": 1.5}]},
+            {"dataset_specs": [{**FAMILY_SPEC, "family_k": True}]},
+            None,  # a non-object root
+        ],
+        ids=["trials-float", "trials-bool", "seed-float", "seed-bool", "epsilon-str",
+             "epsilon-bool", "size-float", "size-bool", "family_k-float", "family_k-bool",
+             "root-list"],
+    )
+    def test_malformed_config_rejected(self, tmp_path, edit, capsys):
+        config = {
+            "mechanisms": ["transformed"],
+            "epsilons": [0.5],
+            "dataset_specs": [TWO_POINT_SPEC],
+            "trials": 10,
+            "seed": 21,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps([1, 2] if edit is None else {**config, **edit}))
+        out_path = tmp_path / "x.csv"
+        code, _, err = run(["figures", "--input", str(cfg_path), "--output", str(out_path)], capsys)
+        assert code == 2
+        assert "bad sweep config" in err and "internal error" not in err
+        assert not out_path.exists()
 
     def test_preset_required(self, capsys):
         code, _, err = run(["figures"], capsys)

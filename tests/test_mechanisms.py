@@ -22,7 +22,7 @@ from dpmean.mechanisms import (
     run_mechanism,
     true_mean,
 )
-from dpmean.noise import derive_stream
+from dpmean.noise import RandomStream
 
 EPS = PrivacyBudget(0.5)
 ZERO = NoisePair(0.0, 0.0)
@@ -66,10 +66,12 @@ def unit_dataset(values):
 
 class TestValidation:
     def test_privacy_budget(self):
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, math.inf, math.nan, True, "0.5", None):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
                 PrivacyBudget(bad)
         PrivacyBudget(1e-9)
+        PrivacyBudget(2)
+        PrivacyBudget(np.float64(0.5))
 
     def test_bounds_order(self):
         with pytest.raises(ValueError):
@@ -334,21 +336,21 @@ class TestTransformed:
 class TestRunMechanism:
     def test_golden_pinned(self):
         d = unit_dataset([0.5] * 1000)
-        est = run_mechanism(d, EPS, Mechanism.TRANSFORMED, derive_stream(2024, 0))
+        est = run_mechanism(d, EPS, Mechanism.TRANSFORMED, RandomStream(2024, 0))
         assert est.value == RUN_MECHANISM_GOLDEN
 
     def test_mechanisms_differ_on_same_seed(self):
         d = unit_dataset([0.5] * 1000)
-        stream = derive_stream(2024, 0)
+        stream = RandomStream(2024, 0)
         a = run_mechanism(d, EPS, Mechanism.INDEPENDENT, stream)
-        b = run_mechanism(d, EPS, Mechanism.SHIFTED, derive_stream(2024, 0))
+        b = run_mechanism(d, EPS, Mechanism.SHIFTED, RandomStream(2024, 0))
         assert a.value != b.value
 
     def test_output_always_in_bounds(self):
         d = BoundedDataset((2.5, 3.0), 2.0, 4.0)
         for mech in Mechanism:
             for sid in range(50):
-                est = run_mechanism(d, PrivacyBudget(0.05), mech, derive_stream(5, sid))
+                est = run_mechanism(d, PrivacyBudget(0.05), mech, RandomStream(5, sid))
                 assert 2.0 <= est.value <= 4.0
 
     def test_noise_scales(self):

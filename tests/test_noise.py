@@ -12,7 +12,6 @@ from dpmean.noise import (
     GeometricParams,
     LaplaceParams,
     RandomStream,
-    derive_stream,
     laplace_from_uniform,
     laplace_sample,
     open_uniform_pairs,
@@ -84,11 +83,11 @@ class TestParams:
                 GeometricParams(bad)
 
     def test_stream_ids_are_uint64(self):
-        with pytest.raises(ValueError):
-            RandomStream(-1, 0)
-        with pytest.raises(ValueError):
-            RandomStream(0, 2**64)
+        for seed, sid in ((-1, 0), (0, 2**64), (1.5, 0), (0, 1.0), (True, 0), (0, np.bool_(True))):
+            with pytest.raises(ValueError, match="unsigned 64-bit integer"):
+                RandomStream(seed, sid)
         RandomStream(2**64 - 1, 2**64 - 1)
+        RandomStream(np.uint64(2**64 - 1), np.int64(3))
 
 
 class TestLaplaceTransform:
@@ -101,7 +100,7 @@ class TestLaplaceTransform:
 
     def test_scalar_sampler_matches_transform(self):
         # scalar draws and one array evaluation agree bit for bit
-        cursor = derive_stream(5, 5).cursor()
+        cursor = RandomStream(5, 5).cursor()
         us = Cursor(RandomStream(5, 5)).uniforms_open(200)
         xs = laplace_from_uniform(us, 0.7)
         for u, x in zip(us, xs):
@@ -122,7 +121,7 @@ class TestLaplaceTransform:
 
     def test_moments_over_million_draws(self):
         b = 1.5
-        cursor = derive_stream(123, 0).cursor()
+        cursor = RandomStream(123, 0).cursor()
         xs = laplace_from_uniform(cursor.uniforms_open(1_000_000), b)
         n = xs.size
         assert abs(xs.mean()) < 5 * b / math.sqrt(n)
@@ -132,7 +131,7 @@ class TestLaplaceTransform:
 
 class TestGeometricTransform:
     def test_degenerate_small_alpha_is_zero(self):
-        cursor = derive_stream(1, 1).cursor()
+        cursor = RandomStream(1, 1).cursor()
         samples = [two_sided_geometric_sample(cursor, GeometricParams(1e-12)) for _ in range(200)]
         assert all(s == 0 for s in samples)
 
@@ -145,19 +144,19 @@ class TestGeometricTransform:
 
     def test_empirical_variance_million_draws(self):
         alpha = math.exp(-0.5)
-        cursor = derive_stream(321, 0).cursor()
+        cursor = RandomStream(321, 0).cursor()
         zs = two_sided_geometric_from_uniform(cursor.uniforms_open(1_000_000), alpha)
         assert abs(zs.var() / GEO_VAR_HALF - 1) < 0.02
 
     def test_empirical_p0(self):
         alpha = math.exp(-0.5)
-        cursor = derive_stream(322, 0).cursor()
+        cursor = RandomStream(322, 0).cursor()
         zs = two_sided_geometric_from_uniform(cursor.uniforms_open(400_000), alpha)
         assert (zs == 0).mean() == pytest.approx(GEO_P0_HALF, abs=0.005)
 
     def test_scalar_sampler_matches_transform(self):
         alpha = math.exp(-0.7)
-        cursor = derive_stream(6, 6).cursor()
+        cursor = RandomStream(6, 6).cursor()
         probe = Cursor(RandomStream(6, 6))
         for _ in range(500):
             u = probe.uniform_open()
@@ -177,7 +176,7 @@ class TestGeometricTransform:
 
     def test_symmetry_of_distribution(self):
         alpha = 0.6
-        cursor = derive_stream(55, 0).cursor()
+        cursor = RandomStream(55, 0).cursor()
         zs = two_sided_geometric_from_uniform(cursor.uniforms_open(500_000), alpha)
         assert abs(zs.mean()) < 0.01
         assert abs((zs > 0).mean() - (zs < 0).mean()) < 0.005
@@ -185,21 +184,21 @@ class TestGeometricTransform:
 
 class TestStreams:
     def test_same_stream_reproduces(self):
-        a = derive_stream(42, 0).cursor()
-        b = derive_stream(42, 0).cursor()
+        a = RandomStream(42, 0).cursor()
+        b = RandomStream(42, 0).cursor()
         assert [a.uniform_open() for _ in range(100)] == [b.uniform_open() for _ in range(100)]
 
     def test_distinct_stream_ids_decorrelated(self):
         # at 10^4 draws the 0.1 gate sits 10 standard errors out
-        a = derive_stream(42, 0).cursor().uniforms_open(10_000)
-        b = derive_stream(42, 1).cursor().uniforms_open(10_000)
+        a = RandomStream(42, 0).cursor().uniforms_open(10_000)
+        b = RandomStream(42, 1).cursor().uniforms_open(10_000)
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) < 0.1
         assert not np.array_equal(a[:100], b[:100])
 
     def test_distinct_seeds_differ(self):
-        a = derive_stream(42, 0).cursor()
-        b = derive_stream(43, 0).cursor()
+        a = RandomStream(42, 0).cursor()
+        b = RandomStream(43, 0).cursor()
         assert a.uniform_open() != b.uniform_open()
 
     def test_jump_to_equals_fresh_cursor(self):
@@ -212,15 +211,15 @@ class TestStreams:
             ]
 
     def test_batch_uniforms_match_scalar(self):
-        a = derive_stream(9, 9).cursor()
-        b = derive_stream(9, 9).cursor()
+        a = RandomStream(9, 9).cursor()
+        b = RandomStream(9, 9).cursor()
         xs = a.uniforms_open(64)
         ys = np.array([b.uniform_open() for _ in range(64)])
         assert np.array_equal(xs, ys)
 
     def test_cross_correlation_many_streams(self):
         # pairwise correlation over a block of streams stays small
-        base = [derive_stream(1000, sid).cursor().uniforms_open(200) for sid in range(8)]
+        base = [RandomStream(1000, sid).cursor().uniforms_open(200) for sid in range(8)]
         for i in range(8):
             for j in range(i + 1, 8):
                 assert abs(np.corrcoef(base[i], base[j])[0, 1]) < 0.25
@@ -228,19 +227,19 @@ class TestStreams:
 
 class TestGolden:
     def test_laplace_draws_pinned(self):
-        cursor = derive_stream(9001, 7).cursor()
+        cursor = RandomStream(9001, 7).cursor()
         params = LaplaceParams(1.5)
         draws = tuple(laplace_sample(cursor, params) for _ in range(16))
         assert draws == LAPLACE_GOLDEN
 
     def test_geometric_draws_pinned(self):
-        cursor = derive_stream(9001, 8).cursor()
+        cursor = RandomStream(9001, 8).cursor()
         params = GeometricParams(math.exp(-0.5))
         draws = tuple(two_sided_geometric_sample(cursor, params) for _ in range(16))
         assert draws == GEOMETRIC_GOLDEN
 
     def test_uniform_draws_pinned(self):
-        cursor = derive_stream(9001, 9).cursor()
+        cursor = RandomStream(9001, 9).cursor()
         draws = tuple(cursor.uniform_open() for _ in range(4))
         assert draws == UNIFORM_GOLDEN
 
@@ -288,15 +287,15 @@ class TestPhiloxKernel:
         assert numpy_stream(2**64 - 1, 2**64 - 1).bit_generator.random_raw(2).tolist() == [w0[0], w1[0]]
 
     def test_seed_validated(self):
-        for bad in (-1, 2**64):
-            with pytest.raises(ValueError):
+        for bad in (-1, 2**64, 1.5, True):
+            with pytest.raises(ValueError, match="unsigned 64-bit integer"):
                 open_uniform_pairs(bad, np.arange(3, dtype=np.uint64))
 
     def test_pairs_equal_two_scalar_draws(self):
         ids = np.array([0, 5, 2**40, 3], dtype=np.uint64)
         u0, u1 = open_uniform_pairs(77, ids)
         for i, sid in enumerate(ids.tolist()):
-            cursor = derive_stream(77, sid).cursor()
+            cursor = RandomStream(77, sid).cursor()
             assert (cursor.uniform_open(), cursor.uniform_open()) == (u0[i], u1[i])
 
     def test_zero_word_redraws_like_scalar_cursor(self, monkeypatch):
@@ -319,7 +318,7 @@ class TestPhiloxKernel:
         monkeypatch.setattr(noise, "philox_first_words", forced)
         monkeypatch.setattr(Cursor, "__init__", init)
         u0, u1 = open_uniform_pairs(seed, ids)
-        scalar = derive_stream(seed, target).cursor()
+        scalar = RandomStream(seed, target).cursor()
         assert (u0[target], u1[target]) == (scalar.uniform_open(), scalar.uniform_open())
         # the redraw skips the zero word: the pair is words 1 and 2
         gen = numpy_stream(seed, target)

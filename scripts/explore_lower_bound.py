@@ -26,6 +26,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--epsilons", type=float, nargs="+", default=[0.2, 0.5, 1.0])
     args = parser.parse_args()
+    for name in ("n", "trials"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} must be at least 1")
 
     print(f"n={args.n}, trials={args.trials}, seed={args.seed}")
     header = f"{'eps':>5} {'k':>3} {'benchmark':>10} {'geo(exact)':>11} {'geo(mc)':>9}"

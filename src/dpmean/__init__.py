@@ -51,15 +51,14 @@ from .mechanisms import (
     BoundedDataset,
     MeanEstimate,
     Mechanism,
+    MechanismPlan,
     NoisePair,
     PrivacyBudget,
     clip,
     estimate_independent,
     estimate_shifted,
     estimate_transformed,
-    exact_aggregates,
-    noise_scales,
-    noisy_estimate,
+    mechanism_plan,
     run_mechanism,
     true_mean,
 )

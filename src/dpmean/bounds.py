@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass
 
 from .mechanisms import (
-    UNIT_SEGMENT,
     BoundedDataset,
     Mechanism,
     PrivacyBudget,
     check_bounds,
-    l1_sensitivity_under,
-    mechanism_row,
+    check_count,
+    mechanism_plan,
     true_mean,
 )
 
@@ -80,8 +79,7 @@ def transformed_mse_bound_from_stats(
     n with the given mean: ((u-l)^2 + 4(mean-midpoint)^2) / (n eps)^2."""
     PrivacyBudget(eps)
     check_bounds(lower, upper)
-    if n < 1:
-        raise ValueError("dataset size must be at least 1")
+    check_count("dataset size", n)
     w = upper - lower
     m = (lower + upper) / 2.0
     return (w**2 + 4.0 * (mean - m) ** 2) / (n**2 * eps**2)
@@ -197,18 +195,18 @@ def clipped_ratio_terms_for(
 
     The estimate is l + w * clip(s^/n^, 0, 1), where (s^, n^) is (s, n) plus
     T^-1 diag(scales) Z = (r/eps) G^-1 Z for iid unit Laplace Z, G the
-    mechanism's transform and r its L1 radius (D cancels; see
-    ``mechanisms``).  In centered normalized units that is the clipped ratio
-    of a = s - n/2 and b = n with ratio cap 1/2, perturbed by
+    mechanism's transform and r its L1 radius, both read from its plan
+    (D cancels; see ``mechanisms``).  In centered normalized units that is
+    the clipped ratio of a = s - n/2 and b = n with ratio cap 1/2, perturbed by
     (Z_a, Z_b) = (r/eps) [[1, -1/2], [0, 1]] G^-1 Z.  The terms bound the
     error in those units; see mechanism_mse_bound for data units.
     """
     if len(d) == 0:
         raise ValueError("cannot instantiate bound terms for an empty dataset")
     n = float(len(d))
-    g, _ = mechanism_row(d, mechanism)
-    inv = g.inverse()
-    scale = l1_sensitivity_under(g, UNIT_SEGMENT) / eps.epsilon
+    plan = mechanism_plan(mechanism, d.lower, d.upper, eps)
+    inv = plan.g.inverse()
+    scale = plan.radius / eps.epsilon
     za = ((inv.a11 - inv.a21 / 2.0) * scale, (inv.a12 - inv.a22 / 2.0) * scale)
     zb = (inv.a21 * scale, inv.a22 * scale)
     return _laplace_mix_terms(d.scaled_total - n / 2.0, n, 0.5, za, zb)

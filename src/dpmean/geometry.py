@@ -3,10 +3,10 @@
 Laplace noise on a linear change of coordinates G of the normalized
 (sum, count) is private at budget eps when the L1 ball of radius r (noise
 scale times eps) covers, after G, every difference +-(x, 1), x in [0, 1],
-between adjacent datasets' aggregates.  ``mechanisms`` defines each
-mechanism by such a G and derives its noise from ``l1_sensitivity_under``;
-this module exports the covering balls as polygons in the aggregate space,
-checks their coverage, and runs the mechanisms' estimator for any G.
+between adjacent datasets' aggregates.  A ``mechanisms.MechanismPlan``
+derives its noise from G with ``l1_sensitivity_under``; this module exports
+the covering balls as polygons, checks their coverage, and runs a plan on
+any G.
 """
 
 from __future__ import annotations
@@ -18,15 +18,14 @@ from .mechanisms import (  # noqa: F401  (re-exports: mechanisms owns coordinate
     COMPLEMENT_TRANSFORM,
     IDENTITY_TRANSFORM,
     UNIT_SEGMENT,
-    AggregateVector,
     BoundedDataset,
     MeanEstimate,
+    MechanismPlan,
     NoisePair,
     PrivacyBudget,
     SensitivitySegment,
     Transform2x2,
     l1_sensitivity_under,
-    transform_estimate,
 )
 
 
@@ -98,8 +97,7 @@ def transform_procedure_estimate(
     t: Transform2x2,
     noise: NoisePair,
 ) -> MeanEstimate:
-    """The mechanisms' estimator with G = t and D the identity, so the noise
+    """The estimate of the plan with G = t and D the identity, so the noise
     and ``noisy_aggregates`` are in t's coordinates; for an eps-DP release
-    the noise scales are ``l1_sensitivity_under(t, UNIT_SEGMENT) / eps``."""
-    first, second, value = transform_estimate(d, t, noise.za, noise.zb)
-    return MeanEstimate(float(value), None, AggregateVector(float(first), float(second)))
+    the noise scales are the plan's, ``l1_sensitivity_under(t, UNIT_SEGMENT) / eps``."""
+    return MechanismPlan(None, t, (1.0, 1.0), d.lower, d.upper, eps).mean_estimate(d, noise)

@@ -11,9 +11,9 @@ cell i derives its seed from the experiment seed with a SplitMix64 step
 
 Trials are evaluated as arrays, one cell at a time: the first two uniforms
 of every trial stream come from one counter-based Philox kernel
-(``noise.open_uniform_pairs``), then the Laplace inverse CDF, the estimator
-and the squared error run elementwise through the same functions a single
-release uses.  Per-trial squared errors are in trial order and reduced with
+(``noise.open_uniform_pairs``), then the Laplace inverse CDF, the cell's
+``MechanismPlan`` (built once, as for a release) and the squared error run
+elementwise.  Per-trial squared errors are in trial order and reduced with
 numpy's pairwise summation.  A cell is one array pass; ``estimate_mse``
 accepts and ignores a ``workers`` argument.
 """
@@ -31,10 +31,11 @@ import numpy as np
 from .mechanisms import (
     BoundedDataset,
     Mechanism,
+    MechanismPlan,
     PrivacyBudget,
     check_bounds,
-    noise_scales,
-    noisy_estimate,
+    check_count,
+    mechanism_plan,
     run_mechanism,  # noqa: F401  (per-trial form of _estimates; perfbench/tracing.py patches it here)
     true_mean,
 )
@@ -58,13 +59,6 @@ GEOMETRIC_COUNT = "geometric_count"
 
 _MASK64 = 2**64 - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-
-
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integer and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _derived_seed(seed: int, index: int) -> int:
@@ -98,12 +92,12 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         lo, hi = self.bounds
-        _check_count("dataset size", self.size)
+        check_count("dataset size", self.size)
         check_bounds(lo, hi)
         if not (lo <= self.target_mean <= hi):
             raise ValueError(f"target mean {self.target_mean} outside bounds {self.bounds}")
         if self.kind is DatasetKind.LOWER_BOUND_FAMILY:
-            _check_count("family_k", self.family_k)
+            check_count("family_k", self.family_k)
 
 
 def family_member_spec(n: int, i: int, bounds: tuple[float, float] = (0.0, 1.0)) -> DatasetSpec:
@@ -134,7 +128,9 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        _check_count("trials", self.trials)
+        if not (self.mechanisms and self.epsilons and self.dataset_specs):
+            raise ValueError("a sweep needs at least one mechanism, epsilon and dataset spec")
+        check_count("trials", self.trials)
         for e in self.epsilons:
             PrivacyBudget(e)
         check_uint64("seed", self.seed)
@@ -153,17 +149,12 @@ class MseReport:
     seed: int
 
 
-def _estimates(
-    d: BoundedDataset, eps: PrivacyBudget, mechanism: Mechanism, seed: int, trials: int
-) -> np.ndarray:
-    """Estimates of trials 0..trials-1: entry t is run_mechanism on stream
-    (seed, t), evaluated for all trials at once."""
+def _estimates(d: BoundedDataset, plan: MechanismPlan, seed: int, trials: int) -> np.ndarray:
+    """Estimates of trials 0..trials-1 of the plan on d: entry t is
+    run_mechanism on stream (seed, t), evaluated for all trials at once."""
     u_a, u_b = open_uniform_pairs(seed, np.arange(trials, dtype=np.uint64))
-    scale_a, scale_b = noise_scales(d, mechanism, eps)
-    _, _, values = noisy_estimate(
-        d, mechanism, laplace_from_uniform(u_a, scale_a), laplace_from_uniform(u_b, scale_b)
-    )
-    return values
+    z_a, z_b = map(laplace_from_uniform, (u_a, u_b), plan.scales)
+    return plan.estimate(d.scaled_total, float(len(d)), z_a, z_b)[2]
 
 
 def squared_errors(
@@ -180,12 +171,10 @@ def squared_errors(
     the estimator machinery itself -- any callable (dataset, eps, cursor) ->
     float, which is called once per trial.
     """
-    _check_count("trials", trials)
-    if isinstance(mechanism, str):
-        mechanism = Mechanism(mechanism)
+    check_count("trials", trials)
     mu = true_mean(d)
-    if isinstance(mechanism, Mechanism):
-        err = _estimates(d, eps, mechanism, seed, trials) - mu
+    if isinstance(mechanism, str):  # a Mechanism or its name
+        err = _estimates(d, mechanism_plan(mechanism, d.lower, d.upper, eps), seed, trials) - mu
         return err * err
     sq = np.empty(trials, dtype=np.float64)
     cursor = Cursor(RandomStream(seed, 0))
@@ -279,11 +268,12 @@ def worst_case_over_family(
     released with two-sided geometric noise of decay exp(-eps).  Compare the
     result against the 2/eps^2 benchmark.
     """
-    _check_count("k", k)
-    _check_count("trials", trials)
+    check_count("k", k)
+    check_count("trials", trials)
     worst = -math.inf
     geometric = mechanism == GEOMETRIC_COUNT
     alpha = GeometricParams(math.exp(-eps.epsilon)).alpha if geometric else None
+    plan = None if geometric else mechanism_plan(mechanism, 0.0, 1.0, eps)  # members lie in [0, 1]
     for i in range(1, k + 1):
         member_seed = _derived_seed(seed, i - 1)
         if geometric:
@@ -291,7 +281,7 @@ def worst_case_over_family(
             err = two_sided_geometric_from_uniform(u, alpha).astype(np.float64)
         else:
             d = generate_dataset(family_member_spec(n, i))
-            err = n * _estimates(d, eps, Mechanism(mechanism), member_seed, trials) - i
+            err = n * _estimates(d, plan, member_seed, trials) - i
         worst = max(worst, float(np.sum(err * err)) / trials)
     return worst
 

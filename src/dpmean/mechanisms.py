@@ -25,12 +25,12 @@ The complement transform fits the ball exactly to the moves, and its
 implied count noise is correlated with the numerator noise; this halves the
 mean squared error of the shifted mechanism at matched budget.
 
-``transform_estimate`` is the one estimator: v = T(s, n) + z,
-(s^, n^) = T^-1 v, estimate w * clip(s^/n^, 0, 1) + l, elementwise on scalar
-noise or on arrays of noise (one entry per trial), so the Monte-Carlo
-harness runs a single release's arithmetic on many trials at once.  Noise is
-always injected explicitly, so behaviour is exactly testable; run_mechanism
-is the only sampling wrapper.
+``mechanism_plan`` fixes a row to bounds and a budget once per release or
+Monte-Carlo cell; the ``MechanismPlan``'s ``estimate`` is the one estimator:
+v = T(s, n) + z, (s^, n^) = T^-1 v, estimate w * clip(s^/n^, 0, 1) + l,
+elementwise on scalar noise or on arrays of noise (one entry per trial).
+Noise is always injected explicitly, so behaviour is exactly testable;
+run_mechanism is the only sampling wrapper.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -70,6 +70,13 @@ def check_bounds(lower: float, upper: float) -> None:
     """Raise ValueError unless [lower, upper] is a finite, non-empty interval."""
     if not (lower < upper and math.isfinite(lower) and math.isfinite(upper)):
         raise ValueError(f"bounds must be finite with lower < upper, got [{lower}, {upper}]")
+
+
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,38 +248,6 @@ class MeanEstimate:
     noisy_aggregates: AggregateVector
 
 
-def mechanism_row(
-    d: BoundedDataset, mechanism: Mechanism
-) -> tuple[Transform2x2, tuple[float, float]]:
-    """The mechanism's (G, D) on the dataset's bounds: the module table."""
-    mechanism = Mechanism(mechanism)
-    if mechanism is Mechanism.INDEPENDENT:
-        b = max(abs(d.lower), abs(d.upper))
-        return Transform2x2(d.width / b, d.lower / b, 0.0, 1.0), (b, 1.0)
-    if mechanism is Mechanism.SHIFTED:
-        return CENTERING_TRANSFORM, (d.width, 2.0)
-    return COMPLEMENT_TRANSFORM, (1.0, 1.0)
-
-
-def released_transform(d: BoundedDataset, mechanism: Mechanism) -> Transform2x2:
-    """T = D G: from the normalized aggregate (s, n) to the released pair."""
-    g, (d1, d2) = mechanism_row(d, mechanism)
-    return Transform2x2(d1 * g.a11, d1 * g.a12, d2 * g.a21, d2 * g.a22)
-
-
-def noise_scales(d: BoundedDataset, mechanism: Mechanism, eps: PrivacyBudget) -> tuple[float, float]:
-    """Laplace scales (for za, zb) that make the mechanism eps-DP under
-    add-remove adjacency: D times the L1 radius of G, over eps."""
-    g, (d1, d2) = mechanism_row(d, mechanism)
-    radius = l1_sensitivity_under(g, UNIT_SEGMENT)
-    return d1 * radius / eps.epsilon, d2 * radius / eps.epsilon
-
-
-def exact_aggregates(d: BoundedDataset, mechanism: Mechanism) -> AggregateVector:
-    """The pre-noise pair T(s, n) released by the given mechanism."""
-    return AggregateVector(*released_transform(d, mechanism).apply((d.scaled_total, float(len(d)))))
-
-
 def _clip(x, lo: float, hi: float):
     """``clip``, elementwise on arrays (a scalar gives a float).  The
     estimator calls this directly; ``clip`` is the scalar entry point, which
@@ -307,46 +282,81 @@ def _ratio(num, den):
         return np.divide(num, den + 0.0)
 
 
-def transform_estimate(d: BoundedDataset, t: Transform2x2, za, zb):
-    """The one estimator: release v = T(s, n) + (za, zb), invert to
-    (s^, n^) = T^-1 v, and return (v1, v2, w * clip(s^/n^, 0, 1) + l).
+@dataclass(frozen=True)
+class MechanismPlan:
+    """A row (G, D) of the module table fixed to bounds [lower, upper] and a
+    budget, with what it implies: the released transform T = D G, its
+    inverse, the L1 radius of G and the Laplace scales D * radius / eps."""
 
-    Elementwise: za, zb are scalars or equal-shape arrays, one entry per
-    trial.
-    """
-    if len(d) == 0:
-        raise ValueError("cannot estimate the mean of an empty dataset")
-    first, second = t.apply((d.scaled_total, float(len(d))))
-    with np.errstate(invalid="ignore", over="ignore"):
-        first, second = first + za, second + zb
-        s_hat, n_hat = t.inverse().apply((first, second))
-        return first, second, d.width * _clip(_ratio(s_hat, n_hat), 0.0, 1.0) + d.lower
+    mechanism: Mechanism | None
+    g: Transform2x2
+    diag: tuple[float, float]
+    lower: float
+    upper: float
+    eps: PrivacyBudget
+    t: Transform2x2 = field(init=False)
+    t_inv: Transform2x2 = field(init=False)
+    radius: float = field(init=False)
+    scales: tuple[float, float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        (d1, d2), g, e = self.diag, self.g, self.eps.epsilon
+        t = Transform2x2(d1 * g.a11, d1 * g.a12, d2 * g.a21, d2 * g.a22)
+        radius = l1_sensitivity_under(g, UNIT_SEGMENT)
+        scales = (d1 * radius / e, d2 * radius / e)
+        for name, value in (("t", t), ("t_inv", t.inverse()), ("radius", radius), ("scales", scales)):
+            object.__setattr__(self, name, value)
+
+    def estimate(self, s, n, za, zb):
+        """Release v = T(s, n) + (za, zb), invert to (s^, n^) = T^-1 v, and
+        return (v1, v2, w * clip(s^/n^, 0, 1) + l).  Elementwise: za, zb are
+        scalars or equal-shape arrays, one entry per trial."""
+        first, second = self.t.apply((s, n))
+        with np.errstate(invalid="ignore", over="ignore"):
+            first, second = first + za, second + zb
+            s_hat, n_hat = self.t_inv.apply((first, second))
+            w = self.upper - self.lower
+            return first, second, w * _clip(_ratio(s_hat, n_hat), 0.0, 1.0) + self.lower
+
+    def mean_estimate(self, d: BoundedDataset, noise: NoisePair) -> MeanEstimate:
+        """One release on d, which must have the plan's bounds, with the given noise."""
+        if len(d) == 0:
+            raise ValueError("cannot estimate the mean of an empty dataset")
+        if (d.lower, d.upper) != (self.lower, self.upper):
+            raise ValueError(f"dataset bounds differ from the plan's [{self.lower}, {self.upper}]")
+        first, second, value = self.estimate(d.scaled_total, float(len(d)), noise.za, noise.zb)
+        return MeanEstimate(float(value), self.mechanism, AggregateVector(float(first), float(second)))
 
 
-def noisy_estimate(d: BoundedDataset, mechanism: Mechanism, za, zb):
-    """``transform_estimate`` in the mechanism's released coordinates, with
-    noise (za, zb) on those coordinates."""
-    return transform_estimate(d, released_transform(d, mechanism), za, zb)
-
-
-def _mean_estimate(d: BoundedDataset, mechanism: Mechanism, noise: NoisePair) -> MeanEstimate:
-    first, second, value = noisy_estimate(d, mechanism, noise.za, noise.zb)
-    return MeanEstimate(float(value), mechanism, AggregateVector(float(first), float(second)))
+def mechanism_plan(
+    mechanism: Mechanism, lower: float, upper: float, eps: PrivacyBudget
+) -> MechanismPlan:
+    """The plan of the mechanism's row of the module table on [lower, upper]."""
+    mechanism = Mechanism(mechanism)
+    check_bounds(lower, upper)
+    if mechanism is Mechanism.INDEPENDENT:
+        b = max(abs(lower), abs(upper))
+        g, diag = Transform2x2((upper - lower) / b, lower / b, 0.0, 1.0), (b, 1.0)
+    elif mechanism is Mechanism.SHIFTED:
+        g, diag = CENTERING_TRANSFORM, (upper - lower, 2.0)
+    else:
+        g, diag = COMPLEMENT_TRANSFORM, (1.0, 1.0)
+    return MechanismPlan(mechanism, g, diag, lower, upper, eps)
 
 
 def estimate_independent(d: BoundedDataset, eps: PrivacyBudget, noise: NoisePair) -> MeanEstimate:
     """Clipped ratio of separately noised sum and count."""
-    return _mean_estimate(d, Mechanism.INDEPENDENT, noise)
+    return mechanism_plan(Mechanism.INDEPENDENT, d.lower, d.upper, eps).mean_estimate(d, noise)
 
 
 def estimate_shifted(d: BoundedDataset, eps: PrivacyBudget, noise: NoisePair) -> MeanEstimate:
     """Clipped ratio of noised midpoint-shifted sum and count, shifted back."""
-    return _mean_estimate(d, Mechanism.SHIFTED, noise)
+    return mechanism_plan(Mechanism.SHIFTED, d.lower, d.upper, eps).mean_estimate(d, noise)
 
 
 def estimate_transformed(d: BoundedDataset, eps: PrivacyBudget, noise: NoisePair) -> MeanEstimate:
     """Clipped ratio of the noised scaled-sum pair, mapped back to [lower, upper]."""
-    return _mean_estimate(d, Mechanism.TRANSFORMED, noise)
+    return mechanism_plan(Mechanism.TRANSFORMED, d.lower, d.upper, eps).mean_estimate(d, noise)
 
 
 def run_mechanism(
@@ -362,11 +372,7 @@ def run_mechanism(
     seeded s as this function on stream (s, t), with arrays in place of the
     two draws.
     """
-    mechanism = Mechanism(mechanism)
+    plan = mechanism_plan(mechanism, d.lower, d.upper, eps)
     cursor = stream.cursor() if isinstance(stream, RandomStream) else stream
-    scale_a, scale_b = noise_scales(d, mechanism, eps)
-    noise = NoisePair(
-        laplace_sample(cursor, LaplaceParams(scale_a)),
-        laplace_sample(cursor, LaplaceParams(scale_b)),
-    )
-    return _mean_estimate(d, mechanism, noise)
+    noise = NoisePair(*[laplace_sample(cursor, LaplaceParams(scale)) for scale in plan.scales])
+    return plan.mean_estimate(d, noise)

@@ -52,6 +52,14 @@ def check_uint64(name: str, value) -> int:
     return int(value)
 
 
+def check_uint64_array(name: str, values) -> np.ndarray:
+    """``check_uint64`` for integer arrays: ``values`` as a uint64 array, at least 1-D."""
+    a = np.asarray(values)
+    if not (a.dtype.kind == "u" or (a.dtype.kind == "i" and not (a < 0).any())):
+        raise ValueError(f"{name} must be unsigned 64-bit integers, got {a!r}")
+    return np.array(a, dtype=np.uint64, ndmin=1)
+
+
 @dataclass(frozen=True)
 class LaplaceParams:
     """Scale b of the Laplace distribution with density exp(-|x|/b)/(2b)."""
@@ -201,7 +209,7 @@ def philox_first_words(seed: int, stream_ids) -> tuple[np.ndarray, np.ndarray]:
     two 64-bit words that ``np.random.Philox(key=[seed, id])`` produces.
     """
     k0 = check_uint64("seed", seed)
-    k1 = np.array(stream_ids, dtype=np.uint64, ndmin=1)  # 0-d math would warn on wraparound
+    k1 = check_uint64_array("stream ids", stream_ids)  # 1-D: 0-d math would warn on wraparound
     c0 = np.ones_like(k1)
     c1 = c2 = c3 = np.zeros_like(k1)
     for r in range(_PHILOX_ROUNDS):
@@ -222,7 +230,7 @@ def open_uniform_pairs(seed: int, stream_ids) -> tuple[np.ndarray, np.ndarray]:
     holds a zero uniform (probability 2^-53 per word) is drawn by a scalar
     cursor instead, which redraws exactly as ``uniform_open`` does.
     """
-    ids = np.array(stream_ids, dtype=np.uint64, ndmin=1)
+    ids = check_uint64_array("stream ids", stream_ids)
     w0, w1 = philox_first_words(seed, ids)
     u0 = (w0 >> _SHIFT_DOUBLE).astype(np.float64) * 2.0**-53
     u1 = (w1 >> _SHIFT_DOUBLE).astype(np.float64) * 2.0**-53

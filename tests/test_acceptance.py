@@ -40,14 +40,14 @@ from dpmean.harness import (
 )
 from dpmean.cli import main as cli_main
 from dpmean.mechanisms import (
+    AggregateVector,
     BoundedDataset,
     Mechanism,
     NoisePair,
     PrivacyBudget,
     estimate_shifted,
     estimate_transformed,
-    exact_aggregates,
-    noise_scales,
+    mechanism_plan,
 )
 
 SEED = 20240601
@@ -200,9 +200,9 @@ def test_criterion_07_dp_likelihood_ratio():
                 d_plus = BoundedDataset(base + (x,), lo, hi)
                 pairs += 1
                 for mech in Mechanism:
-                    c0 = exact_aggregates(d, mech)
-                    c1 = exact_aggregates(d_plus, mech)
-                    b1, b2 = noise_scales(d, mech, eps)
+                    c0 = AggregateVector(*mechanism_plan(mech, lo, hi, eps).t.apply((d.scaled_total, float(len(d)))))
+                    c1 = AggregateVector(*mechanism_plan(mech, lo, hi, eps).t.apply((d_plus.scaled_total, float(len(d_plus)))))
+                    b1, b2 = mechanism_plan(mech, lo, hi, eps).scales
                     t1 = np.linspace(min(c0.first, c1.first) - 3 * b1, max(c0.first, c1.first) + 3 * b1, 10)
                     t2 = np.linspace(min(c0.second, c1.second) - 3 * b2, max(c0.second, c1.second) + 3 * b2, 10)
                     g1, g2 = np.meshgrid(t1, t2)

@@ -27,8 +27,7 @@ from dpmean.mechanisms import (
     BoundedDataset,
     Mechanism,
     PrivacyBudget,
-    noise_scales,
-    noisy_estimate,
+    mechanism_plan,
     true_mean,
 )
 
@@ -135,6 +134,12 @@ class TestPerDatasetBounds:
         assert transformed_mse_bound_leading(d, eps) == pytest.approx(
             transformed_mse_bound_from_stats(3, 0.4, 0.5, 0.0, 1.0), rel=1e-12
         )
+
+    @pytest.mark.parametrize("n", [0, True, 1.5])
+    def test_size_must_be_a_count(self, n):
+        for bound in (transformed_mse_bound_from_stats, shifted_mse_bound_from_stats):
+            with pytest.raises(ValueError, match="dataset size must be an integer >= 1"):
+                bound(n, 0.5, 0.5, 0.0, 1.0)
 
 
 class TestGeometricCountVariance:
@@ -267,10 +272,11 @@ class TestBoundValidity:
         eps = PrivacyBudget(0.5)
         for n in (30, 200):
             d = BoundedDataset(np.linspace(-1.0, 3.0, n) ** 2 / 3.0 - 1.0, -1.0, 3.0)
-            sa, sb = noise_scales(d, Mechanism.INDEPENDENT, eps)
+            plan = mechanism_plan(Mechanism.INDEPENDENT, d.lower, d.upper, eps)
+            sa, sb = plan.scales
             za = rng.laplace(scale=sa, size=400_000)
             zb = rng.laplace(scale=sb, size=400_000)
-            _, _, est = noisy_estimate(d, Mechanism.INDEPENDENT, za, zb)
+            _, _, est = plan.estimate(d.scaled_total, float(len(d)), za, zb)
             mse = float(np.mean((est - true_mean(d)) ** 2))
             assert mse <= mechanism_mse_bound(d, Mechanism.INDEPENDENT, eps)
 

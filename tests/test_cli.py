@@ -1,4 +1,7 @@
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from dpmean.harness import CSV_HEADER
 
 TWO_POINT_SPEC = {"kind": "two_point", "size": 30, "target_mean": 0.5, "bounds": [0.0, 1.0]}
 FAMILY_SPEC = {"kind": "lower_bound_family", "size": 30, "target_mean": 0.1, "bounds": [0.0, 1.0]}
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @pytest.fixture
@@ -353,11 +357,14 @@ class TestFigures:
             {"dataset_specs": [{**TWO_POINT_SPEC, "size": True}]},
             {"dataset_specs": [{**FAMILY_SPEC, "family_k": 1.5}]},
             {"dataset_specs": [{**FAMILY_SPEC, "family_k": True}]},
+            {"mechanisms": []},
+            {"epsilons": []},
+            {"dataset_specs": []},
             None,  # a non-object root
         ],
         ids=["trials-float", "trials-bool", "seed-float", "seed-bool", "epsilon-str",
              "epsilon-bool", "size-float", "size-bool", "family_k-float", "family_k-bool",
-             "root-list"],
+             "mechanisms-empty", "epsilons-empty", "specs-empty", "root-list"],
     )
     def test_malformed_config_rejected(self, tmp_path, edit, capsys):
         config = {
@@ -414,3 +421,13 @@ class TestGeometry:
         lines = [l for l in out_path.read_text().strip().split("\n") if l.startswith("complement_r1")]
         verts = [(float(l.split(",")[2]), float(l.split(",")[3])) for l in lines]
         assert verts == [(1.0, 1.0), (0.0, 1.0), (-1.0, -1.0), (0.0, -1.0)]
+
+
+class TestScripts:
+    @pytest.mark.parametrize("flag", ["--trials", "--n"])
+    def test_explore_lower_bound_rejects_zero_counts(self, flag, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["explore_lower_bound.py", flag, "0"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(SCRIPTS / "explore_lower_bound.py"), run_name="__main__")
+        assert exc.value.code == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err

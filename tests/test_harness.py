@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -213,6 +214,11 @@ class TestSweep:
         config = ExperimentConfig((exploding,), (0.5,), specs, 3, 1)
         with pytest.raises(RuntimeError, match="sweep cell 0"):
             sweep(config)
+
+    @pytest.mark.parametrize("field", ["mechanisms", "epsilons", "dataset_specs"])
+    def test_empty_axis_rejected(self, field):
+        with pytest.raises(ValueError, match="a sweep needs at least one"):
+            dataclasses.replace(small_config(), **{field: ()})
 
 
 class TestPresets:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmean.mechanisms import (
+    AggregateVector,
     BoundedDataset,
     Mechanism,
     NoisePair,
@@ -16,9 +17,7 @@ from dpmean.mechanisms import (
     estimate_independent,
     estimate_shifted,
     estimate_transformed,
-    exact_aggregates,
-    noise_scales,
-    noisy_estimate,
+    mechanism_plan,
     run_mechanism,
     true_mean,
 )
@@ -36,6 +35,13 @@ ESTIMATORS = {
     Mechanism.SHIFTED: estimate_shifted,
     Mechanism.TRANSFORMED: estimate_transformed,
 }
+
+
+def exact_aggregates(d, mechanism):
+    """The pre-noise pair T(s, n) that the mechanism's plan releases on d."""
+    t = mechanism_plan(mechanism, d.lower, d.upper, EPS).t
+    return AggregateVector(*t.apply((d.scaled_total, float(len(d)))))
+
 
 finite_noise = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 any_noise = st.floats(allow_nan=True, allow_infinity=True)
@@ -206,7 +212,8 @@ class TestNoisyEstimate:
         za = np.array([p[0] for p in pairs])
         zb = np.array([p[1] for p in pairs])
         for mech in Mechanism:
-            first, second, value = noisy_estimate(d, mech, za, zb)
+            plan = mechanism_plan(mech, d.lower, d.upper, EPS)
+            first, second, value = plan.estimate(d.scaled_total, float(len(d)), za, zb)
             for i, (a, b) in enumerate(pairs):
                 est = ESTIMATORS[mech](d, EPS, NoisePair(a, b))
                 assert value[i] == est.value
@@ -356,9 +363,14 @@ class TestRunMechanism:
     def test_noise_scales(self):
         d = BoundedDataset((0.0,), -2.0, 6.0)
         e = PrivacyBudget(0.5)
-        assert noise_scales(d, Mechanism.INDEPENDENT, e) == (24.0, 4.0)
-        assert noise_scales(d, Mechanism.SHIFTED, e) == (16.0, 4.0)
-        assert noise_scales(d, Mechanism.TRANSFORMED, e) == (2.0, 2.0)
+        assert mechanism_plan(Mechanism.INDEPENDENT, d.lower, d.upper, e).scales == (24.0, 4.0)
+        assert mechanism_plan(Mechanism.SHIFTED, d.lower, d.upper, e).scales == (16.0, 4.0)
+        assert mechanism_plan(Mechanism.TRANSFORMED, d.lower, d.upper, e).scales == (2.0, 2.0)
+
+    def test_plan_rejects_dataset_with_other_bounds(self):
+        plan = mechanism_plan(Mechanism.TRANSFORMED, 0.0, 1.0, EPS)
+        with pytest.raises(ValueError, match="differ from the plan"):
+            plan.mean_estimate(BoundedDataset((2.5,), 2.0, 4.0), ZERO)
 
 
 class TestRangeInvariant:
@@ -423,6 +435,6 @@ class TestAddRemoveSensitivity:
         d_plus = BoundedDataset(tuple(values) + (x,), lo, hi)
         a = exact_aggregates(d, mech)
         b = exact_aggregates(d_plus, mech)
-        sa, sb = noise_scales(d, mech, eps)
+        sa, sb = mechanism_plan(mech, lo, hi, eps).scales
         weighted = abs(a.first - b.first) / sa + abs(a.second - b.second) / sb
         assert weighted <= eps.epsilon * (1 + 1e-9)

@@ -291,6 +291,22 @@ class TestPhiloxKernel:
             with pytest.raises(ValueError, match="unsigned 64-bit integer"):
                 open_uniform_pairs(bad, np.arange(3, dtype=np.uint64))
 
+    @pytest.mark.parametrize(
+        "ids",
+        [[1.5], [True], np.array([-1]), np.array([3, -1], dtype=np.int8)],
+        ids=["float", "bool", "negative", "negative-int8"],
+    )
+    def test_stream_ids_validated(self, ids):
+        for kernel in (open_uniform_pairs, philox_first_words):
+            with pytest.raises(ValueError, match="unsigned 64-bit integer"):
+                kernel(7, ids)
+
+    def test_integer_stream_ids_of_any_width(self):
+        # a signed array without negative entries keys the same streams
+        expected = philox_first_words(7, np.array([0, 5], dtype=np.uint64))
+        for ids in ([0, 5], np.array([0, 5], dtype=np.int32), np.array([0, 5], dtype=np.uint8)):
+            assert np.array_equal(philox_first_words(7, ids), expected)
+
     def test_pairs_equal_two_scalar_draws(self):
         ids = np.array([0, 5, 2**40, 3], dtype=np.uint64)
         u0, u1 = open_uniform_pairs(77, ids)

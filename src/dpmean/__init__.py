@@ -71,6 +71,7 @@ from .noise import (
     laplace_sample,
     open_uniform_pairs,
     philox_first_words,
+    trial_uniform_pairs,
     two_sided_geometric_from_uniform,
     two_sided_geometric_sample,
 )

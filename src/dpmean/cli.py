@@ -191,22 +191,21 @@ def _figure_extras(name: str | None, reports) -> dict[str, list[float]]:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else _entropy_seed()
-    if args.preset is not None:
+    name = args.preset
+    if name is not None:
+        seed = args.seed if args.seed is not None else _entropy_seed()
         try:
-            config = preset_config(args.preset, seed, trials=args.trials)
+            config = preset_config(name, seed, trials=args.trials)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-        name = args.preset
-    elif args.input is not None:
+    else:
+        if args.trials is not None or args.seed is not None:
+            raise ValidationError("the sweep config carries its own trials and seed")
         try:
             data = json.loads(Path(args.input).read_text())
             config = config_from_json(data)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"bad sweep config {args.input}: {exc}") from exc
-        name = None
-    else:
-        raise ValidationError("figures needs --preset or --input (sweep config JSON)")
     out = Path(args.output) if args.output else Path(f"{name or 'sweep'}.csv")
     reports = sweep(config)
     csv_text = reports_to_csv(reports, extra_columns=_figure_extras(name, reports))
@@ -279,10 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_fig = sub.add_parser("figures", help="run a Monte-Carlo sweep and write CSV")
-    p_fig.add_argument("--preset", choices=PRESET_NAMES, default=None)
-    p_fig.add_argument("--input", default=None, help="explicit sweep config JSON")
+    source = p_fig.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=PRESET_NAMES, default=None)
+    source.add_argument("--input", default=None, help="explicit sweep config JSON")
     p_fig.add_argument("--trials", type=int, default=None, help="override preset trial count")
-    p_fig.add_argument("--seed", type=int, default=None, help="64-bit seed; default: entropy")
+    p_fig.add_argument("--seed", type=int, default=None, help="64-bit preset seed; default: entropy")
     p_fig.add_argument(
         "--workers", type=int, default=1, help="accepted and ignored; kept for compatibility"
     )
@@ -298,7 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error (2), or --help / --version (0)
+        return exc.code
     try:
         return args.func(args)
     except ValidationError as exc:

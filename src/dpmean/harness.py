@@ -9,13 +9,13 @@ exactly ``run_mechanism(d, eps, mechanism, RandomStream(s, t))``.  Sweep
 cell i derives its seed from the experiment seed with a SplitMix64 step
 (documented in _derived_seed).
 
-Trials are evaluated as arrays, one cell at a time: the first two uniforms
-of every trial stream come from one counter-based Philox kernel
-(``noise.open_uniform_pairs``), then the Laplace inverse CDF, the cell's
-``MechanismPlan`` (built once, as for a release) and the squared error run
-elementwise.  Per-trial squared errors are in trial order and reduced with
-numpy's pairwise summation.  A cell is one array pass; ``estimate_mse``
-accepts and ignores a ``workers`` argument.
+Trials are evaluated as arrays: several cells share one pass of the Philox
+kernel, in blocks of 4096 streams (``noise.trial_uniform_pairs``), then each
+cell runs the Laplace inverse CDF, its ``MechanismPlan`` (built once, as for
+a release) and the squared error elementwise on its own uniforms.  Each
+cell's squared errors are in trial order and reduced on their own with
+numpy's pairwise summation, so grouping moves no output bit.
+``estimate_mse`` accepts and ignores a ``workers`` argument.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .noise import (
     RandomStream,
     check_uint64,
     laplace_from_uniform,
-    open_uniform_pairs,
+    trial_uniform_pairs,
     two_sided_geometric_from_uniform,
     two_sided_geometric_sample,  # noqa: F401  (per-trial form of the geometric draws; patched likewise)
 )
@@ -149,12 +149,18 @@ class MseReport:
     seed: int
 
 
-def _estimates(d: BoundedDataset, plan: MechanismPlan, seed: int, trials: int) -> np.ndarray:
-    """Estimates of trials 0..trials-1 of the plan on d: entry t is
-    run_mechanism on stream (seed, t), evaluated for all trials at once."""
-    u_a, u_b = open_uniform_pairs(seed, np.arange(trials, dtype=np.uint64))
-    z_a, z_b = map(laplace_from_uniform, (u_a, u_b), plan.scales)
-    return plan.estimate(d.scaled_total, float(len(d)), z_a, z_b)[2]
+def _estimates(plan: MechanismPlan, s: float, n: float, uniforms) -> np.ndarray:
+    """Estimates of the plan on the aggregates (s, n), one per trial: given
+    uniforms (u_a, u_b), entry t is run_mechanism on the stream whose first
+    two uniforms are u_a[t] and u_b[t]."""
+    return plan.estimate(s, n, *map(laplace_from_uniform, uniforms, plan.scales))[2]
+
+
+def _cell_squared_errors(d: BoundedDataset, mechanism: Mechanism, eps: PrivacyBudget, uniforms) -> np.ndarray:
+    """Per-trial squared errors of the mechanism on d, given its trials' uniform pairs."""
+    plan = mechanism_plan(mechanism, d.lower, d.upper, eps)
+    err = _estimates(plan, d.scaled_total, float(len(d)), uniforms) - true_mean(d)
+    return err * err
 
 
 def squared_errors(
@@ -172,10 +178,10 @@ def squared_errors(
     float, which is called once per trial.
     """
     check_count("trials", trials)
-    mu = true_mean(d)
     if isinstance(mechanism, str):  # a Mechanism or its name
-        err = _estimates(d, mechanism_plan(mechanism, d.lower, d.upper, eps), seed, trials) - mu
-        return err * err
+        (uniforms,) = trial_uniform_pairs([seed], trials)
+        return _cell_squared_errors(d, mechanism, eps, uniforms)
+    mu = true_mean(d)
     sq = np.empty(trials, dtype=np.float64)
     cursor = Cursor(RandomStream(seed, 0))
     for t in range(trials):
@@ -183,6 +189,14 @@ def squared_errors(
         err = mechanism(d, eps, cursor) - mu
         sq[t] = err * err
     return sq
+
+
+def _mse_report(sq: np.ndarray, mechanism, eps: PrivacyBudget, n: int, seed: int, spec) -> MseReport:
+    """The MseReport of one cell's per-trial squared errors."""
+    trials = len(sq)
+    mse = float(np.sum(sq)) / trials
+    stderr = float(np.std(sq, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
+    return MseReport(mechanism, eps.epsilon, spec, n, mse, mse * float(n * n), stderr, trials, seed)
 
 
 def estimate_mse(
@@ -203,49 +217,37 @@ def estimate_mse(
     if isinstance(mechanism, str):
         mechanism = Mechanism(mechanism)
     sq = squared_errors(d, mechanism, eps, trials, seed)
-    mse = float(np.sum(sq)) / trials
-    stderr = float(np.std(sq, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
-    n = len(d)
-    return MseReport(
-        mechanism=mechanism,
-        epsilon=eps.epsilon,
-        dataset_spec=dataset_spec,
-        n=n,
-        mse=mse,
-        normalized_mse=mse * float(n * n),
-        stderr=stderr,
-        trials=trials,
-        seed=seed,
-    )
+    return _mse_report(sq, mechanism, eps, len(d), seed, dataset_spec)
 
 
 def sweep(config: ExperimentConfig) -> list[MseReport]:
     """Run the Cartesian product (mechanism, epsilon, dataset_spec) in that
     nesting order; deterministic given the config seed.  Each distinct spec
-    is built into a dataset once and shared by its cells."""
+    is built into a dataset once and shared by its cells, and the cells'
+    trial uniforms come from shared kernel passes.  Each report equals
+    ``estimate_mse`` on its cell with the cell's derived seed."""
     cells = [
         (mech, e, spec)
         for mech in config.mechanisms
         for e in config.epsilons
         for spec in config.dataset_specs
     ]
+    seeds = [_derived_seed(config.seed, i) for i in range(len(cells))]
     datasets: dict[DatasetSpec, BoundedDataset] = {}
     reports = []
-    for index, (mech, e, spec) in enumerate(cells):
+    uniforms = trial_uniform_pairs(seeds, config.trials)
+    for index, ((mech, e, spec), seed, pair) in enumerate(zip(cells, seeds, uniforms)):
         try:
             d = datasets.get(spec)
             if d is None:
                 d = datasets[spec] = generate_dataset(spec)
-            reports.append(
-                estimate_mse(
-                    d,
-                    mech,
-                    PrivacyBudget(e),
-                    config.trials,
-                    _derived_seed(config.seed, index),
-                    dataset_spec=spec,
-                )
-            )
+            eps = PrivacyBudget(e)
+            if isinstance(mech, str):
+                mech = Mechanism(mech)
+                sq = _cell_squared_errors(d, mech, eps, pair)
+            else:  # the callable test hook draws its own trials
+                sq = squared_errors(d, mech, eps, config.trials, seed)
+            reports.append(_mse_report(sq, mech, eps, len(d), seed, spec))
         except Exception as exc:
             raise RuntimeError(
                 f"sweep cell {index} failed (mechanism={mech}, epsilon={e}, spec={spec})"
@@ -270,18 +272,17 @@ def worst_case_over_family(
     """
     check_count("k", k)
     check_count("trials", trials)
+    check_count("dataset size", n)
     worst = -math.inf
     geometric = mechanism == GEOMETRIC_COUNT
     alpha = GeometricParams(math.exp(-eps.epsilon)).alpha if geometric else None
     plan = None if geometric else mechanism_plan(mechanism, 0.0, 1.0, eps)  # members lie in [0, 1]
-    for i in range(1, k + 1):
-        member_seed = _derived_seed(seed, i - 1)
+    members = trial_uniform_pairs([_derived_seed(seed, i) for i in range(k)], trials)
+    for i, uniforms in enumerate(members, start=1):
         if geometric:
-            u, _ = open_uniform_pairs(member_seed, np.arange(trials, dtype=np.uint64))
-            err = two_sided_geometric_from_uniform(u, alpha).astype(np.float64)
-        else:
-            d = generate_dataset(family_member_spec(n, i))
-            err = n * _estimates(d, plan, member_seed, trials) - i
+            err = two_sided_geometric_from_uniform(uniforms[0], alpha).astype(np.float64)
+        else:  # member i holds i ones over n zeros: (s, n) = (i, n + i) exactly
+            err = n * _estimates(plan, float(i), float(n + i), uniforms) - i
         worst = max(worst, float(np.sum(err * err)) / trials)
     return worst
 

@@ -19,8 +19,11 @@ scalar draw and an array draw from the same uniform are bit-identical.
 
 Because Philox is counter-based, the first block of many streams can be
 computed at once: ``open_uniform_pairs`` returns, as arrays, the first two
-open-interval uniforms of every stream ``(seed, id)`` in a batch of ids,
-exactly as two ``Cursor.uniform_open()`` calls on each stream would.
+open-interval uniforms of every stream ``(seed, id)`` for seeds broadcast
+against ids, exactly as two ``Cursor.uniform_open()`` calls on each stream
+would.  The kernel walks the streams in blocks of 4096, updating one set of
+round buffers in place, and ``trial_uniform_pairs`` packs the trial streams
+of several seeds (a sweep's cells) into each kernel call.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT_DOUBLE = np.uint64(11)  # Generator.random() keeps the top 53 bits
+_BLOCK = 4096  # streams per kernel pass; its eight round buffers (256 KiB) stay in cache
 
 
 def check_uint64(name: str, value) -> int:
@@ -57,7 +61,7 @@ def check_uint64_array(name: str, values) -> np.ndarray:
     a = np.asarray(values)
     if not (a.dtype.kind == "u" or (a.dtype.kind == "i" and not (a < 0).any())):
         raise ValueError(f"{name} must be unsigned 64-bit integers, got {a!r}")
-    return np.array(a, dtype=np.uint64, ndmin=1)
+    return np.atleast_1d(a.astype(np.uint64, copy=False))
 
 
 @dataclass(frozen=True)
@@ -184,58 +188,91 @@ def two_sided_geometric_sample(cursor: Cursor, params: GeometricParams) -> int:
     return two_sided_geometric_from_uniform(cursor.uniform_open(), params.alpha)
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit halves of the 128-bit products m * x.
-
-    numpy has no 128-bit integers, so the high half is assembled from
-    32x32-bit partial products (Hacker's Delight, mulhu); no intermediate
-    overflows 64 bits.
-    """
+def _mulhi(m: int, x: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Write the high 64-bit halves of the 128-bit products m * x into hi,
+    using t, u and v (shaped like x) as scratch.  numpy has no 128-bit
+    integers, so the high half is assembled from 32x32-bit partial products
+    (Hacker's Delight, mulhu); no intermediate overflows 64 bits."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
-    t = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
-    u = x_lo * m_hi + (t & _LOW32)
-    hi = x_hi * m_hi + (t >> _SHIFT32) + (u >> _SHIFT32)
-    return hi, x * np.uint64(m)
+    np.multiply(np.bitwise_and(x, _LOW32, out=u), m_lo, out=t)  # u = x_lo, t = x_lo m_lo
+    t >>= _SHIFT32
+    t += np.multiply(np.right_shift(x, _SHIFT32, out=hi), m_lo, out=v)  # t = x_hi m_lo + (x_lo m_lo >> 32)
+    u *= m_hi
+    u += np.bitwise_and(t, _LOW32, out=v)  # u = x_lo m_hi + (t & LOW32)
+    hi *= m_hi
+    hi += np.right_shift(t, _SHIFT32, out=t)
+    hi += np.right_shift(u, _SHIFT32, out=u)  # hi = x_hi m_hi + (t >> 32) + (u >> 32)
 
 
-def philox_first_words(seed: int, stream_ids) -> tuple[np.ndarray, np.ndarray]:
+def philox_first_words(seeds, stream_ids) -> tuple[np.ndarray, np.ndarray]:
     """Words 0 and 1 of the first output block of every stream (seed, id),
-    as uint64 arrays shaped like ``stream_ids`` (at least 1-D).
+    as uint64 arrays of the broadcast shape of ``seeds`` and ``stream_ids``
+    (at least 1-D).  A scalar seed keys every id; seeds shaped (cells, 1)
+    against ids shaped (trials,) key a (cells, trials) grid.
 
     This is Philox4x64-10 evaluated elementwise on uint64 arrays, with key
     ``[seed, id]`` and counter ``[1, 0, 0, 0]``: numpy's Philox increments
     its zero-initialised counter before generating, so these are the first
     two 64-bit words that ``np.random.Philox(key=[seed, id])`` produces.
+    Streams are evaluated ``_BLOCK`` at a time in eight round buffers that
+    every step updates in place.
     """
-    k0 = check_uint64("seed", seed)
-    k1 = check_uint64_array("stream ids", stream_ids)  # 1-D: 0-d math would warn on wraparound
-    c0 = np.ones_like(k1)
-    c1 = c2 = c3 = np.zeros_like(k1)
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & _UINT64_MAX
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1
+    seeds = check_uint64_array("seed", seeds)
+    ids = check_uint64_array("stream ids", stream_ids)
+    shape = np.broadcast_shapes(seeds.shape, ids.shape)
+    seeds, ids = (np.broadcast_to(a, shape).ravel() for a in (seeds, ids))
+    size = seeds.size
+    words = np.empty((2, size), dtype=np.uint64)
+    buf = np.empty((8, min(size, _BLOCK)), dtype=np.uint64)
+    for start in range(0, size, _BLOCK):
+        k0, k1 = seeds[start : start + _BLOCK], ids[start : start + _BLOCK]
+        c0, c1, c2, c3, h0, h1, t, u = buf[:, : k0.size]
+        # Round 0 multiplies the counter words 1 and 0, so it leaves [k0, 0, k1, M0].
+        c0[:], c1[:], c2[:], c3[:] = k0, 0, k1, _PHILOX_M[0]
+        for r in range(1, _PHILOX_ROUNDS):
+            _mulhi(_PHILOX_M[1], c2, h1, t, u, h0)
+            h1 ^= c1
+            h1 ^= np.add(k0, (r * _PHILOX_W[0]) & _UINT64_MAX, out=t)  # round key 0
+            _mulhi(_PHILOX_M[0], c0, h0, t, u, c1)
+            h0 ^= c3
+            h0 ^= np.add(k1, (r * _PHILOX_W[1]) & _UINT64_MAX, out=t)  # round key 1
+            c2 *= _PHILOX_M[1]
+            c0 *= _PHILOX_M[0]
+            # [hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0]; old c1 and c3 become scratch
+            c0, c1, c2, c3, h0, h1 = h1, c2, h0, c0, c1, c3
+        words[0, start : start + _BLOCK], words[1, start : start + _BLOCK] = c0, c1
+    return words[0].reshape(shape), words[1].reshape(shape)
 
 
-def open_uniform_pairs(seed: int, stream_ids) -> tuple[np.ndarray, np.ndarray]:
+def open_uniform_pairs(seeds, stream_ids) -> tuple[np.ndarray, np.ndarray]:
     """The first two ``Cursor.uniform_open()`` draws of every stream
-    (seed, id), as two float64 arrays.
+    (seed, id), as two float64 arrays shaped as ``philox_first_words``.
 
     Both come from the stream's first Philox block.  A stream whose block
     holds a zero uniform (probability 2^-53 per word) is drawn by a scalar
-    cursor instead, which redraws exactly as ``uniform_open`` does.
+    cursor on its own (seed, id) instead, which redraws exactly as
+    ``uniform_open`` does.
     """
-    ids = check_uint64_array("stream ids", stream_ids)
-    w0, w1 = philox_first_words(seed, ids)
-    u0 = (w0 >> _SHIFT_DOUBLE).astype(np.float64) * 2.0**-53
-    u1 = (w1 >> _SHIFT_DOUBLE).astype(np.float64) * 2.0**-53
+    seeds, ids = check_uint64_array("seed", seeds), check_uint64_array("stream ids", stream_ids)
+    w0, w1 = philox_first_words(seeds, ids)
+    u0, u1 = (np.right_shift(w, _SHIFT_DOUBLE, out=w).astype(np.float64) for w in (w0, w1))
+    u0 *= 2.0**-53
+    u1 *= 2.0**-53
     for i in np.flatnonzero((u0 == 0.0) | (u1 == 0.0)):
-        cursor = Cursor(RandomStream(int(seed), int(ids.flat[i])))
+        seed, sid = (int(np.broadcast_to(a, u0.shape).flat[i]) for a in (seeds, ids))
+        cursor = Cursor(RandomStream(seed, sid))
         u0.flat[i] = cursor.uniform_open()
         u1.flat[i] = cursor.uniform_open()
     return u0, u1
+
+
+def trial_uniform_pairs(seeds, trials: int):
+    """Yield ``open_uniform_pairs(seed, range(trials))`` for each seed in
+    turn.  ``max(1, _BLOCK // trials)`` seeds share one kernel call, so
+    cells of few trials fill a block and memory stays bounded at any trial
+    count."""
+    seeds = np.array([check_uint64("seed", s) for s in seeds], dtype=np.uint64)
+    ids = np.arange(trials, dtype=np.uint64)
+    per_call = max(1, _BLOCK // trials)
+    for start in range(0, seeds.size, per_call):
+        yield from zip(*open_uniform_pairs(seeds[start : start + per_call, None], ids))

@@ -386,6 +386,31 @@ class TestFigures:
         code, _, err = run(["figures"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--trials", "500"], ["--seed", "99"]], ids=["trials", "seed"])
+    def test_config_rejects_trials_and_seed(self, tmp_path, flag, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "mechanisms": ["transformed"], "epsilons": [0.5], "dataset_specs": [TWO_POINT_SPEC],
+            "trials": 10, "seed": 21,
+        }))
+        out_path = tmp_path / "x.csv"
+        code, _, err = run(["figures", "--input", str(cfg_path), *flag, "--output", str(out_path)], capsys)
+        assert code == 2
+        assert "the sweep config carries its own trials and seed" in err
+        assert not out_path.exists()
+
+    def test_preset_and_input_exclusive(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{}")
+        out_path = tmp_path / "x.csv"
+        code, _, err = run(
+            ["figures", "--preset", "fig2b", "--input", str(cfg_path), "--output", str(out_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "not allowed with argument" in err
+        assert not out_path.exists()
+
     def test_unwritable_output(self, tmp_path, capsys):
         code, _, err = run(
             ["figures", "--preset", "fig2b", "--trials", "1", "--seed", "1",

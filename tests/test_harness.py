@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -26,10 +27,18 @@ from dpmean.harness import (
     worst_case_over_family,
 )
 from dpmean.mechanisms import BoundedDataset, Mechanism, PrivacyBudget, run_mechanism, true_mean
-from dpmean.noise import GeometricParams, RandomStream, two_sided_geometric_sample
+from dpmean.cli import main
+from dpmean.noise import _BLOCK, GeometricParams, RandomStream, two_sided_geometric_sample
 
 EPS = PrivacyBudget(0.5)
 GATE_SEED = 20240601
+
+# sha256 of `figures --preset fig2c --seed 7 --trials 200` output: the CSV and
+# its sidecar, recorded when each cell still had a kernel pass of its own
+FIG2C_SHA256 = {
+    "fig2c.csv": "69ef9f7024935d8a901803c16cbea4b3ca967133cbb713b38944bfe2d1c55fd4",
+    "fig2c.csv.meta.json": "daf9421e23eeae8375607e428b8218f75206f567adb0df0dd7da76e58db3f54d",
+}
 
 
 def small_config(trials=50, seed=11):
@@ -215,6 +224,24 @@ class TestSweep:
         with pytest.raises(RuntimeError, match="sweep cell 0"):
             sweep(config)
 
+    @pytest.mark.parametrize("trials", [1, 7, _BLOCK // 3, _BLOCK + 1])
+    def test_reports_equal_per_cell_estimate_mse(self, trials):
+        # cells share kernel passes; each report must not notice
+        config = small_config(trials=trials, seed=2**64 - 1)
+        cells = [(m, e, s) for m in config.mechanisms for e in config.epsilons for s in config.dataset_specs]
+        reports = sweep(config)
+        for index, ((mech, e, spec), report) in enumerate(zip(cells, reports)):
+            d = generate_dataset(spec)
+            seed = _derived_seed(config.seed, index)
+            assert report == estimate_mse(d, mech, PrivacyBudget(e), trials, seed, dataset_spec=spec)
+
+    def test_fig2c_output_pinned(self, tmp_path, capsys):
+        out = tmp_path / "fig2c.csv"
+        argv = ["figures", "--preset", "fig2c", "--seed", "7", "--trials", "200", "--output", str(out)]
+        assert main(argv) == 0
+        for name, digest in FIG2C_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("field", ["mechanisms", "epsilons", "dataset_specs"])
     def test_empty_axis_rejected(self, field):
         with pytest.raises(ValueError, match="a sweep needs at least one"):
@@ -282,25 +309,37 @@ class TestWorstCaseFamily:
         big = worst_case_over_family(Mechanism.TRANSFORMED, EPS, 500, 5, 2000, 13)
         assert big >= small
 
+    @staticmethod
+    def scalar_worst(mech, n, k, trials, seed):
+        """worst_case_over_family as a loop of one release per trial."""
+        geo = GeometricParams(math.exp(-EPS.epsilon))
+        members = {i: generate_dataset(family_member_spec(n, i)) for i in range(1, k + 1)}
+        worst = -math.inf
+        for i in range(1, k + 1):
+            member_seed = _derived_seed(seed, i - 1)
+            errs = []
+            for t in range(trials):
+                stream = RandomStream(member_seed, t)
+                if mech == GEOMETRIC_COUNT:
+                    errs.append(float(two_sided_geometric_sample(stream.cursor(), geo)))
+                else:
+                    errs.append(n * run_mechanism(members[i], EPS, mech, stream).value - i)
+            sq = np.array([e * e for e in errs])
+            worst = max(worst, float(np.sum(sq)) / trials)
+        return worst
+
     def test_matches_scalar_loop(self):
         n, k, trials, seed = 200, 3, 300, 13
-
-        def scalar_worst(draw):
-            worst = -math.inf
-            for i in range(1, k + 1):
-                member_seed = _derived_seed(seed, i - 1)
-                errs = [draw(i, RandomStream(member_seed, t)) for t in range(trials)]
-                sq = np.array([e * e for e in errs])
-                worst = max(worst, float(np.sum(sq)) / trials)
-            return worst
-
-        geo = GeometricParams(math.exp(-EPS.epsilon))
-        expected = scalar_worst(lambda i, s: float(two_sided_geometric_sample(s.cursor(), geo)))
-        assert worst_case_over_family(GEOMETRIC_COUNT, EPS, n, k, trials, seed) == expected
-        members = {i: generate_dataset(family_member_spec(n, i)) for i in range(1, k + 1)}
-        for mech in Mechanism:
-            expected = scalar_worst(lambda i, s: n * run_mechanism(members[i], EPS, mech, s).value - i)
+        for mech in (GEOMETRIC_COUNT, *Mechanism):
+            expected = self.scalar_worst(mech, n, k, trials, seed)
             assert worst_case_over_family(mech, EPS, n, k, trials, seed) == expected
+
+    @pytest.mark.parametrize("k, trials", [(3, _BLOCK // 3 + 1), (2, _BLOCK + 1)])
+    def test_matches_scalar_loop_across_blocks(self, k, trials):
+        # members share a kernel pass below the block size, span two above it
+        for mech in (GEOMETRIC_COUNT, Mechanism.INDEPENDENT):
+            expected = self.scalar_worst(mech, 300, k, trials, 29)
+            assert worst_case_over_family(mech, EPS, 300, k, trials, 29) == expected
 
     def test_k_validated(self):
         with pytest.raises(ValueError):

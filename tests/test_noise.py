@@ -14,8 +14,10 @@ from dpmean.noise import (
     RandomStream,
     laplace_from_uniform,
     laplace_sample,
+    _BLOCK,
     open_uniform_pairs,
     philox_first_words,
+    trial_uniform_pairs,
     two_sided_geometric_from_uniform,
     two_sided_geometric_sample,
 )
@@ -343,3 +345,81 @@ class TestPhiloxKernel:
         others = ids != target
         assert np.array_equal(u0[others], clean[0][others])
         assert np.array_equal(u1[others], clean[1][others])
+
+    def test_seed_grid_matches_per_seed_calls(self):
+        seeds = np.array([[0], [5], [2**63], [2**64 - 1], [20240601]], dtype=np.uint64)
+        ids = np.concatenate([np.arange(37, dtype=np.uint64), np.array([2**64 - 1], dtype=np.uint64)])
+        w0, w1 = philox_first_words(seeds, ids)
+        u0, u1 = open_uniform_pairs(seeds, ids)
+        assert w0.shape == u0.shape == (5, 38)
+        for row, seed in enumerate(seeds[:, 0].tolist()):
+            one = philox_first_words(seed, ids)
+            assert np.array_equal(w0[row], one[0]) and np.array_equal(w1[row], one[1])
+            pair = open_uniform_pairs(seed, ids)
+            assert np.array_equal(u0[row], pair[0]) and np.array_equal(u1[row], pair[1])
+            for col, sid in enumerate(ids.tolist()):
+                expected = numpy_stream(seed, sid).bit_generator.random_raw(2).tolist()
+                assert expected == [w0[row, col], w1[row, col]]
+
+    @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_block_edges_equal_one_stream_at_a_time(self, size):
+        # a different seed every few streams, so blocks also cut across seeds
+        ids = np.arange(size, dtype=np.uint64)
+        seeds = 2**64 - 1 - ids // 3
+        w0, w1 = philox_first_words(seeds, ids)
+        for i in range(size):
+            expected = numpy_stream(int(seeds[i]), i).bit_generator.random_raw(2).tolist()
+            assert expected == [w0[i], w1[i]]
+        for i in {0, _BLOCK - 1, _BLOCK, size - 1} & set(range(size)):
+            one = philox_first_words(int(seeds[i]), i)
+            assert (one[0][0], one[1][0]) == (w0[i], w1[i])
+
+    def test_max_seed_in_an_array_raises_no_warning(self):
+        seeds = np.array([[2**64 - 1], [1]], dtype=np.uint64)
+        ids = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w0, w1 = philox_first_words(seeds, ids)
+            pairs = list(trial_uniform_pairs([2**64 - 1, 1], 3))
+        expected = numpy_stream(2**64 - 1, 2**64 - 1).bit_generator.random_raw(2).tolist()
+        assert expected == [w0[0, 2], w1[0, 2]]
+        gen = numpy_stream(2**64 - 1, 2)
+        assert (pairs[0][0][2], pairs[0][1][2]) == (gen.random(), gen.random())
+
+    def test_zero_word_in_a_seed_batch_redraws_from_its_own_seed(self, monkeypatch):
+        seeds = np.array([[31], [32], [33]], dtype=np.uint64)
+        hit_seed, target = 32, 17
+        ids = np.arange(64, dtype=np.uint64)
+        clean = open_uniform_pairs(seeds, ids)
+
+        def forced(seeds_, ids_):
+            w0, w1 = philox_first_words(seeds_, ids_)
+            w0[(seeds_ == hit_seed) & (ids_ == target)] = 0
+            return w0, w1
+
+        real_init = Cursor.__init__
+
+        def init(self, stream):
+            real_init(self, stream)
+            if stream == RandomStream(hit_seed, target):
+                self._gen = _FirstDrawZero(self._gen)
+
+        monkeypatch.setattr(noise, "philox_first_words", forced)
+        monkeypatch.setattr(Cursor, "__init__", init)
+        u0, u1 = open_uniform_pairs(seeds, ids)
+        gen = numpy_stream(hit_seed, target)
+        gen.random()  # the zero word
+        assert (u0[1, target], u1[1, target]) == (gen.random(), gen.random())
+        others = np.ones(u0.shape, dtype=bool)
+        others[1, target] = False
+        assert np.array_equal(u0[others], clean[0][others])
+        assert np.array_equal(u1[others], clean[1][others])
+
+    @pytest.mark.parametrize("trials", [1, 7, _BLOCK // 3, _BLOCK + 1])
+    def test_trial_pairs_equal_per_seed_calls(self, trials):
+        seeds = [3, 2**64 - 1, 0, 2**40, 9]
+        pairs = list(trial_uniform_pairs(seeds, trials))
+        assert len(pairs) == len(seeds)
+        for seed, (u_a, u_b) in zip(seeds, pairs):
+            expected = open_uniform_pairs(seed, np.arange(trials, dtype=np.uint64))
+            assert np.array_equal(u_a, expected[0]) and np.array_equal(u_b, expected[1])

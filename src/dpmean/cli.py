@@ -50,6 +50,9 @@ PRIVACY_NOTE = (
 )
 
 
+_CHUNK = 1 << 17  # characters of the input file read and parsed at a time
+
+
 class ValidationError(Exception):
     """User input rejected before any computation."""
 
@@ -80,20 +83,36 @@ def _numbered(lines: list[str]):
             yield lineno, line
 
 
+def _parse(lines: list[str]) -> np.ndarray:
+    # Lines are stripped first because ``float`` itself rejects the
+    # separators U+001C..U+001F that ``str.strip`` removes.
+    return np.fromiter(map(float, filter(None, map(str.strip, lines))), dtype=np.float64)
+
+
 def _read_values(path: str) -> np.ndarray:
     """The values of a file, ``float`` of each stripped non-blank line, as
-    float64.  Lines are stripped first because ``float`` itself rejects the
-    separators U+001C..U+001F that ``str.strip`` removes."""
-    lines = _input_lines(path)
+    float64, read ``_CHUNK`` characters at a time."""
+    parts, tail = [], ""
     try:
-        values = np.fromiter(map(float, filter(None, map(str.strip, lines))), dtype=np.float64)
-    except ValueError:
-        for lineno, line in _numbered(lines):
+        # Text mode decodes and maps \r\n and \r to \n as read_text does; its
+        # incremental decoder holds back a \r or a partial character that
+        # ends a chunk.  The unfinished last line of a chunk opens the next.
+        with open(path) as f:
+            while chunk := f.read(_CHUNK):
+                lines = (tail + chunk).split("\n")
+                tail = lines.pop()
+                parts.append(_parse(lines))
+        parts.append(_parse([tail]))
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        # Only a rejected file is read again in full, to report the error as
+        # a whole-file read does and to number the offending line.
+        for lineno, line in _numbered(_input_lines(path)):
             try:
                 float(line)
             except ValueError as exc:
                 raise ValidationError(f"line {lineno}: not a decimal number: {line!r}") from exc
         raise
+    values = np.concatenate(parts)
     if not len(values):
         raise ValidationError(f"input file {path} contains no values")
     return values

@@ -57,11 +57,18 @@ def check_uint64(name: str, value) -> int:
 
 
 def check_uint64_array(name: str, values) -> np.ndarray:
-    """``check_uint64`` for integer arrays: ``values`` as a uint64 array, at least 1-D."""
-    a = np.asarray(values)
-    if not (a.dtype.kind == "u" or (a.dtype.kind == "i" and not (a < 0).any())):
-        raise ValueError(f"{name} must be unsigned 64-bit integers, got {a!r}")
-    return np.atleast_1d(a.astype(np.uint64, copy=False))
+    """``check_uint64`` for integer arrays: ``values`` as a uint64 array, at
+    least 1-D.  Anything but an array is checked entry by entry, because
+    ``np.asarray`` makes a list holding an int >= 2^63 float64."""
+    if not isinstance(values, np.ndarray):
+        values = np.asarray(values, dtype=object)
+        for v in values.flat:
+            check_uint64(name, v)
+        values = values.astype(np.uint64)
+    kind = values.dtype.kind
+    if not (kind == "u" or (kind == "i" and not (values < 0).any())):
+        raise ValueError(f"{name} must be unsigned 64-bit integers, got {values!r}")
+    return np.atleast_1d(values.astype(np.uint64, copy=False))
 
 
 @dataclass(frozen=True)
@@ -271,7 +278,7 @@ def trial_uniform_pairs(seeds, trials: int):
     turn.  ``max(1, _BLOCK // trials)`` seeds share one kernel call, so
     cells of few trials fill a block and memory stays bounded at any trial
     count."""
-    seeds = np.array([check_uint64("seed", s) for s in seeds], dtype=np.uint64)
+    seeds = check_uint64_array("seed", seeds)
     ids = np.arange(trials, dtype=np.uint64)
     per_call = max(1, _BLOCK // trials)
     for start in range(0, seeds.size, per_call):

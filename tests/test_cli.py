@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dpmean import cli
 from dpmean.cli import _read_values, main
 from dpmean.harness import CSV_HEADER
 
@@ -204,10 +205,15 @@ LINE = st.one_of(
 ENDING = st.sampled_from(["\n", "\r\n", "\r"])
 
 
+NUMBERED_LINES = st.lists(st.tuples(LINE, ENDING), max_size=30).filter(
+    lambda ls: any(l.strip() for l, _ in ls)
+)
+TINY_CHUNKS = [1, 2, 3, 7]  # characters per read, so lines and \r\n pairs straddle reads
+
+
 class TestReadValues:
-    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.lists(st.tuples(LINE, ENDING), max_size=30).filter(lambda ls: any(l.strip() for l, _ in ls)))
-    def test_matches_line_by_line_float(self, tmp_path, numbered_lines):
+    @staticmethod
+    def assert_matches_line_by_line_float(tmp_path, numbered_lines):
         path = tmp_path / "values.txt"
         path.write_bytes("".join(l + end for l, end in numbered_lines).encode())
         lines = [l for l, _ in numbered_lines]
@@ -215,6 +221,90 @@ class TestReadValues:
         got = _read_values(str(path))
         assert got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(NUMBERED_LINES)
+    def test_matches_line_by_line_float(self, tmp_path, numbered_lines):
+        self.assert_matches_line_by_line_float(tmp_path, numbered_lines)
+
+    @pytest.mark.parametrize("chunk", TINY_CHUNKS)
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(numbered_lines=NUMBERED_LINES)
+    def test_matches_line_by_line_float_in_tiny_chunks(self, tmp_path, monkeypatch, chunk, numbered_lines):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        self.assert_matches_line_by_line_float(tmp_path, numbered_lines)
+
+    @pytest.mark.parametrize("chunk", [7, cli._CHUNK])
+    @pytest.mark.parametrize(
+        "tail, values",
+        [("1\r\n2\n", [1.0, 2.0]), ("\u30001\n", [1.0]), (" \u30001\n", [1.0])],
+        ids=["crlf", "char-split-2-1", "char-split-1-2"],
+    )
+    def test_decoder_buffer_edge(self, tmp_path, monkeypatch, chunk, tail, values):
+        # Asked for a few characters, text mode reads and decodes 8 KiB of
+        # bytes at a time.  After 8190 bytes of "0\n" lines the tail puts a
+        # \r\n pair, or a 3-byte U+3000 split 2+1 or 1+2, across byte 8192.
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        path = tmp_path / "values.txt"
+        path.write_bytes(("0\n" * 4095 + tail).encode())
+        assert _read_values(str(path)).tolist() == [0.0] * 4095 + values
+
+    @pytest.mark.parametrize("chunk", TINY_CHUNKS)
+    def test_no_trailing_newline(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        path = tmp_path / "values.txt"
+        for text, expected in (
+            ("0.5\n0.25", [0.5, 0.25]),
+            ("0.5\r\n0.25", [0.5, 0.25]),
+            ("0.5\r0.25 ", [0.5, 0.25]),
+            ("0.25", [0.25]),
+        ):
+            path.write_bytes(text.encode())
+            assert _read_values(str(path)).tolist() == expected
+
+
+class TestRejectedAcrossChunks:
+    """A file rejected at any chunk size gets the message a whole-file read
+    gives it, with the same line number."""
+
+    ARGV = ESTIMATE_HEAD + ["--lower", "0", "--upper", "1", "--epsilon", "0.5"]
+
+    @pytest.mark.parametrize("chunk", TINY_CHUNKS)
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("0.5\r\n0.25\n\n0.7\rzz\n0.1\n", "line 5: not a decimal number: 'zz'"),
+            ("0.5\r\n\x0b\r\n0.2\r1.5\n0.3", "line 4: value 1.5 is outside the declared bounds [0.0, 1.0]"),
+            ("0.5\n0.25\n\u3000-1e-300", "line 3: value -1e-300 is outside the declared bounds [0.0, 1.0]"),
+            ("0.5\n0.25\n0.75\r\n0x1", "line 4: not a decimal number: '0x1'"),
+        ],
+        ids=["unparseable", "out-of-bounds", "out-of-bounds-last-line", "unparseable-last-line"],
+    )
+    def test_line_number(self, tmp_path, monkeypatch, capsys, chunk, text, expected):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        path = tmp_path / "values.txt"
+        path.write_bytes(text.encode())
+        code, out, err = run(self.ARGV + ["--input", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("chunk", TINY_CHUNKS)
+    @pytest.mark.parametrize("head", ["0.5\n", "zz\n"], ids=["values", "unparseable"])
+    def test_undecodable_byte_after_first_chunk(self, tmp_path, monkeypatch, capsys, chunk, head):
+        # The byte lies past the first 8 KiB that text mode decodes, so it is
+        # met on a later read; an unparseable first line fails its chunk first.
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        path = tmp_path / "values.txt"
+        path.write_bytes(head.encode() + b"0.25\n" * 3000 + b"\xff\n0.5\n")
+        try:
+            path.read_text()
+        except UnicodeDecodeError as exc:
+            expected = f"error: cannot read input file {path}: {exc}\n"
+        else:
+            pytest.skip("the locale's encoding decodes every byte")
+        code, out, err = run(self.ARGV + ["--input", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == expected
 
 
 class TestBounds:

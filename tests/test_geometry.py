@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpmean.geometry import (
@@ -61,14 +61,22 @@ class TestTransform2x2:
         st.floats(min_value=-10, max_value=10),
         st.floats(min_value=-10, max_value=10),
     )
+    # condition number ~2600: x = 0 comes back as 1.8e-12
+    @example(0.125, 2.5830284205134832, 0.125, 2.625, 0.0, 7.0)
     def test_inverse_roundtrip(self, a, b, c, d, x, y):
         det = a * d - b * c
         if abs(det) < 1e-3:
             return
         t = Transform2x2(a, b, c, d)
         rx, ry = t.inverse().apply(t.apply((x, y)))
-        assert rx == pytest.approx(x, rel=1e-12, abs=1e-12)
-        assert ry == pytest.approx(y, rel=1e-12, abs=1e-12)
+        # The forward map, the determinant and the inverse map each lose
+        # about 2 units of kappa * |v| * 2^-52, kappa = ||A||_F^2 / |det| the
+        # Frobenius condition number (always >= 2); 8 bounds their sum.  For
+        # kappa <= 40 this is tighter than an absolute 1e-12 on |v| <= 10 sqrt 2.
+        kappa = (a * a + b * b + c * c + d * d) / abs(det)
+        tol = 8 * kappa * math.hypot(x, y) * 2**-52
+        assert abs(rx - x) <= tol
+        assert abs(ry - y) <= tol
 
 
 class TestSensitivity:

@@ -141,6 +141,23 @@ class TestDatasetStorage:
         assert d.shifted_total == math.fsum(v - m for v in values)
         assert d.scaled_total == math.fsum((v - lo) / w for v in values)
 
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_aggregates_match_fsum_of_list_bit_for_bit(self, data):
+        # fsum reads the values through a buffer view; it must see the same
+        # doubles as a list of them, signed zeros and subnormals included.
+        lo, hi = data.draw(st.sampled_from(
+            [(0.0, 1.0), (-1.0, 1.0), (-3.0, 7.5), (-1e-300, 1e-300), (-5e-324, 5e-324), (-0.0, 2.0**-1022)]
+        ))
+        special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, lo, hi])
+        element = st.one_of(st.floats(lo, hi), special.filter(lambda v: lo <= v <= hi))
+        values = np.array(data.draw(st.lists(element, min_size=1, max_size=100)))
+        d = BoundedDataset(values, lo, hi)
+        m, w = (lo + hi) / 2.0, hi - lo
+        assert d.total.hex() == math.fsum(values.tolist()).hex()
+        assert d.shifted_total.hex() == math.fsum((values - m).tolist()).hex()
+        assert d.scaled_total.hex() == math.fsum(((values - lo) / w).tolist()).hex()
+
 
 class TestClip:
     def test_examples(self):

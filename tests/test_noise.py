@@ -295,8 +295,10 @@ class TestPhiloxKernel:
 
     @pytest.mark.parametrize(
         "ids",
-        [[1.5], [True], np.array([-1]), np.array([3, -1], dtype=np.int8)],
-        ids=["float", "bool", "negative", "negative-int8"],
+        [[1.5], [True], np.array([-1]), np.array([3, -1], dtype=np.int8),
+         [2**64 - 1, 1.0], [2**64 - 1, True], [2**64 - 1, -1], [2**64 - 1, 2**64]],
+        ids=["float", "bool", "negative", "negative-int8",
+             "float-beside-top", "bool-beside-top", "negative-beside-top", "too-large-beside-top"],
     )
     def test_stream_ids_validated(self, ids):
         for kernel in (open_uniform_pairs, philox_first_words):
@@ -308,6 +310,20 @@ class TestPhiloxKernel:
         expected = philox_first_words(7, np.array([0, 5], dtype=np.uint64))
         for ids in ([0, 5], np.array([0, 5], dtype=np.int32), np.array([0, 5], dtype=np.uint8)):
             assert np.array_equal(philox_first_words(7, ids), expected)
+
+    def test_list_ids_above_2_63_convert_exactly(self):
+        # np.asarray would make this list float64 and reject it
+        ids = [2**64 - 1, 1, 2**63]
+        as_array = np.array(ids, dtype=np.uint64)
+        self.assert_matches_numpy(7, as_array)
+        assert np.array_equal(philox_first_words(7, ids), philox_first_words(7, as_array))
+        for got, expected in zip(open_uniform_pairs(7, ids), open_uniform_pairs(7, as_array)):
+            assert got.tobytes() == expected.tobytes()
+        seeds = [[2**64 - 1], [5]]
+        for got, expected in zip(
+            open_uniform_pairs(seeds, ids), open_uniform_pairs(np.array(seeds, dtype=np.uint64), as_array)
+        ):
+            assert got.shape == (2, 3) and got.tobytes() == expected.tobytes()
 
     def test_pairs_equal_two_scalar_draws(self):
         ids = np.array([0, 5, 2**40, 3], dtype=np.uint64)

@@ -14,8 +14,9 @@ kernel, in blocks of 4096 streams (``noise.trial_uniform_pairs``), then each
 cell runs the Laplace inverse CDF, its ``MechanismPlan`` (built once, as for
 a release) and the squared error elementwise on its own uniforms.  Each
 cell's squared errors are in trial order and reduced on their own with
-numpy's pairwise summation, so grouping moves no output bit.
-``estimate_mse`` accepts and ignores a ``workers`` argument.
+numpy's pairwise summation, so grouping moves no output bit.  Every sweep
+cell is a ``Mechanism``; only ``squared_errors`` and ``estimate_mse`` take a
+per-trial callable, and ``estimate_mse`` accepts and ignores ``workers``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +82,8 @@ class DatasetSpec:
 
     For ``lower_bound_family``, ``family_k`` is the member index i: the
     dataset holds i copies of the upper bound over ``size`` copies of the
-    lower bound (so ``size + i`` elements in total).
+    lower bound (so ``size + i`` elements in total).  ``kind`` may be given
+    by name and ``bounds`` as any pair; both are stored in canonical form.
     """
 
     kind: DatasetKind
@@ -91,6 +93,8 @@ class DatasetSpec:
     family_k: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", DatasetKind(self.kind))
+        object.__setattr__(self, "bounds", tuple(self.bounds))
         lo, hi = self.bounds
         check_count("dataset size", self.size)
         check_bounds(lo, hi)
@@ -121,6 +125,9 @@ def generate_dataset(spec: DatasetSpec) -> BoundedDataset:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep's axes, trials and seed.  Mechanisms may be named and the axes
+    given as any sequences; they are stored as tuples, values untouched."""
+
     mechanisms: tuple[Mechanism, ...]
     epsilons: tuple[float, ...]
     dataset_specs: tuple[DatasetSpec, ...]
@@ -128,6 +135,9 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mechanisms", tuple(map(Mechanism, self.mechanisms)))
+        object.__setattr__(self, "epsilons", tuple(self.epsilons))
+        object.__setattr__(self, "dataset_specs", tuple(self.dataset_specs))
         if not (self.mechanisms and self.epsilons and self.dataset_specs):
             raise ValueError("a sweep needs at least one mechanism, epsilon and dataset spec")
         check_count("trials", self.trials)
@@ -242,11 +252,7 @@ def sweep(config: ExperimentConfig) -> list[MseReport]:
             if d is None:
                 d = datasets[spec] = generate_dataset(spec)
             eps = PrivacyBudget(e)
-            if isinstance(mech, str):
-                mech = Mechanism(mech)
-                sq = _cell_squared_errors(d, mech, eps, pair)
-            else:  # the callable test hook draws its own trials
-                sq = squared_errors(d, mech, eps, config.trials, seed)
+            sq = _cell_squared_errors(d, mech, eps, pair)
             reports.append(_mse_report(sq, mech, eps, len(d), seed, spec))
         except Exception as exc:
             raise RuntimeError(
@@ -373,29 +379,10 @@ def reports_to_csv(reports: list[MseReport], extra_columns: dict[str, list[float
     return "\n".join(lines) + "\n"
 
 
-def _spec_to_json(spec: DatasetSpec) -> dict:
-    return {
-        "kind": spec.kind.value,
-        "size": spec.size,
-        "target_mean": spec.target_mean,
-        "bounds": list(spec.bounds),
-        "family_k": spec.family_k,
-    }
-
-
 def config_metadata(config: ExperimentConfig, preset: str | None = None) -> dict:
     from . import __version__
 
-    return {
-        "version": __version__,
-        "preset": preset,
-        "csv_schema": CSV_HEADER,
-        "mechanisms": [m.value for m in config.mechanisms],
-        "epsilons": list(config.epsilons),
-        "dataset_specs": [_spec_to_json(s) for s in config.dataset_specs],
-        "trials": config.trials,
-        "seed": config.seed,
-    }
+    return {"version": __version__, "preset": preset, "csv_schema": CSV_HEADER, **asdict(config)}
 
 
 def write_metadata(path: str | Path, config: ExperimentConfig, preset: str | None = None) -> None:
@@ -404,20 +391,8 @@ def write_metadata(path: str | Path, config: ExperimentConfig, preset: str | Non
 
 def config_from_json(data: dict) -> ExperimentConfig:
     """Parse an explicit sweep configuration (the metadata sidecar format)."""
-    specs = tuple(
-        DatasetSpec(
-            DatasetKind(s["kind"]),
-            s["size"],
-            s["target_mean"],
-            tuple(s["bounds"]),
-            s.get("family_k"),
-        )
+    specs = [
+        DatasetSpec(s["kind"], s["size"], s["target_mean"], s["bounds"], s.get("family_k"))
         for s in data["dataset_specs"]
-    )
-    return ExperimentConfig(
-        tuple(Mechanism(m) for m in data["mechanisms"]),
-        tuple(data["epsilons"]),
-        specs,
-        data["trials"],
-        data["seed"],
-    )
+    ]
+    return ExperimentConfig(data["mechanisms"], data["epsilons"], specs, data["trials"], data["seed"])

@@ -63,6 +63,9 @@ class TestTransform2x2:
     )
     # condition number ~2600: x = 0 comes back as 1.8e-12
     @example(0.125, 2.5830284205134832, 0.125, 2.625, 0.0, 7.0)
+    # subnormal x: each comes back 5e-324 off, below any relative error
+    @example(1.75, 1.0, 1.0, 1.0, 2.2250738585e-313, 0.0)
+    @example(1.75, 0.0, 2.0, 1.0, 2.2250738585e-313, 0.0)
     def test_inverse_roundtrip(self, a, b, c, d, x, y):
         det = a * d - b * c
         if abs(det) < 1e-3:
@@ -73,8 +76,10 @@ class TestTransform2x2:
         # about 2 units of kappa * |v| * 2^-52, kappa = ||A||_F^2 / |det| the
         # Frobenius condition number (always >= 2); 8 bounds their sum.  For
         # kappa <= 40 this is tighter than an absolute 1e-12 on |v| <= 10 sqrt 2.
+        # Subnormal intermediates add the standard model's absolute underflow
+        # term, one 2^-1074 per operation, scaled the same way.
         kappa = (a * a + b * b + c * c + d * d) / abs(det)
-        tol = 8 * kappa * math.hypot(x, y) * 2**-52
+        tol = 8 * kappa * (math.hypot(x, y) * 2**-52 + 2**-1074)
         assert abs(rx - x) <= tol
         assert abs(ry - y) <= tol
 

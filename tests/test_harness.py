@@ -25,6 +25,7 @@ from dpmean.harness import (
     squared_errors,
     sweep,
     worst_case_over_family,
+    write_metadata,
 )
 from dpmean.mechanisms import BoundedDataset, Mechanism, PrivacyBudget, run_mechanism, true_mean
 from dpmean.cli import main
@@ -215,14 +216,49 @@ class TestSweep:
         parsed = config_from_json(json.loads(json.dumps(meta)))
         assert parsed == config
 
-    def test_failing_cell_aborts_with_context(self):
-        def exploding(data, eps, cursor):
-            raise ValueError("boom")
+    def test_failing_cell_aborts_with_context(self, monkeypatch):
+        boom = ValueError("boom")
 
+        def exploding(*args):
+            raise boom
+
+        monkeypatch.setattr("dpmean.harness._cell_squared_errors", exploding)
         specs = (DatasetSpec(DatasetKind.CONSTANT, 5, 0.5, (0.0, 1.0)),)
-        config = ExperimentConfig((exploding,), (0.5,), specs, 3, 1)
-        with pytest.raises(RuntimeError, match="sweep cell 0"):
+        config = ExperimentConfig((Mechanism.SHIFTED,), (0.5,), specs, 3, 1)
+        with pytest.raises(RuntimeError, match="sweep cell 0") as info:
             sweep(config)
+        assert info.value.__cause__ is boom
+
+    @pytest.mark.parametrize(
+        "mechanisms, kind, bounds, epsilons",
+        [
+            (["shifted", "transformed"], DatasetKind.TWO_POINT, (0.0, 1.0), (0.5, 1.0)),
+            ((Mechanism.SHIFTED, Mechanism.TRANSFORMED), "two_point", (0.0, 1.0), (0.5, 1.0)),
+            ((Mechanism.SHIFTED, Mechanism.TRANSFORMED), DatasetKind.TWO_POINT, [0.0, 1.0], (0.5, 1.0)),
+            ((Mechanism.SHIFTED, Mechanism.TRANSFORMED), DatasetKind.TWO_POINT, (0.0, 1.0), [0.5, 1.0]),
+        ],
+        ids=["mechanism names", "kind names", "list bounds", "list epsilons"],
+    )
+    def test_loose_input_forms_are_canonical(self, mechanisms, kind, bounds, epsilons, tmp_path):
+        # each form sweeps like the canonical config and its sidecar reads back equal
+        config = ExperimentConfig(mechanisms, epsilons, (DatasetSpec(kind, 40, 0.5, bounds),), 20, 11)
+        canonical = dataclasses.replace(small_config(trials=20), dataset_specs=small_config().dataset_specs[:1])
+        assert sweep(config) == sweep(canonical)
+        path = tmp_path / "sweep.csv.meta.json"
+        write_metadata(path, config)
+        assert config_from_json(json.loads(path.read_text())) == canonical
+        assert config == canonical
+        assert all(isinstance(m, Mechanism) for m in config.mechanisms)
+        assert config.dataset_specs[0].kind is DatasetKind.TWO_POINT
+
+    def test_unknown_mechanism_rejected_at_construction(self):
+        specs = (DatasetSpec(DatasetKind.CONSTANT, 5, 0.5, (0.0, 1.0)),)
+        with pytest.raises(ValueError, match="bogus"):
+            ExperimentConfig(("transformed", "bogus"), (0.5,), specs, 3, 1)
+
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="bogus"):
+            DatasetSpec("bogus", 5, 0.5, (0.0, 1.0))
 
     @pytest.mark.parametrize("trials", [1, 7, _BLOCK // 3, _BLOCK + 1])
     def test_reports_equal_per_cell_estimate_mse(self, trials):

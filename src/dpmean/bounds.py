@@ -19,10 +19,10 @@ from .mechanisms import (
     Mechanism,
     PrivacyBudget,
     check_bounds,
-    check_count,
     mechanism_plan,
     true_mean,
 )
+from .noise import check_count
 
 
 class NeighborModel(str, enum.Enum):

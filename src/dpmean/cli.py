@@ -91,7 +91,8 @@ def _parse(lines: list[str]) -> np.ndarray:
 
 def _read_values(path: str) -> np.ndarray:
     """The values of a file, ``float`` of each stripped non-blank line, as
-    float64, read ``_CHUNK`` characters at a time."""
+    float64, read ``_CHUNK`` characters at a time.  A file with no such line
+    gives no values: the empty dataset releases like any other."""
     parts, tail = [], ""
     try:
         # Text mode decodes and maps \r\n and \r to \n as read_text does; its
@@ -112,10 +113,7 @@ def _read_values(path: str) -> np.ndarray:
             except ValueError as exc:
                 raise ValidationError(f"line {lineno}: not a decimal number: {line!r}") from exc
         raise
-    values = np.concatenate(parts)
-    if not len(values):
-        raise ValidationError(f"input file {path} contains no values")
-    return values
+    return np.concatenate(parts)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:

@@ -35,7 +35,6 @@ from .mechanisms import (
     MechanismPlan,
     PrivacyBudget,
     check_bounds,
-    check_count,
     mechanism_plan,
     run_mechanism,  # noqa: F401  (per-trial form of _estimates; perfbench/tracing.py patches it here)
     true_mean,
@@ -44,6 +43,7 @@ from .noise import (
     Cursor,
     GeometricParams,
     RandomStream,
+    check_count,
     check_uint64,
     laplace_from_uniform,
     trial_uniform_pairs,
@@ -73,24 +73,19 @@ def _derived_seed(seed: int, index: int) -> int:
 class DatasetKind(str, enum.Enum):
     CONSTANT = "constant"
     TWO_POINT = "two_point"
-    LOWER_BOUND_FAMILY = "lower_bound_family"
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Recipe for a synthetic dataset with a prescribed mean.
-
-    For ``lower_bound_family``, ``family_k`` is the member index i: the
-    dataset holds i copies of the upper bound over ``size`` copies of the
-    lower bound (so ``size + i`` elements in total).  ``kind`` may be given
-    by name and ``bounds`` as any pair; both are stored in canonical form.
+    """Recipe for a synthetic dataset of ``size`` values with a prescribed
+    mean.  ``kind`` may be given by name and ``bounds`` as any pair; both
+    are stored in canonical form.
     """
 
     kind: DatasetKind
     size: int
     target_mean: float
     bounds: tuple[float, float]
-    family_k: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", DatasetKind(self.kind))
@@ -100,26 +95,15 @@ class DatasetSpec:
         check_bounds(lo, hi)
         if not (lo <= self.target_mean <= hi):
             raise ValueError(f"target mean {self.target_mean} outside bounds {self.bounds}")
-        if self.kind is DatasetKind.LOWER_BOUND_FAMILY:
-            check_count("family_k", self.family_k)
-
-
-def family_member_spec(n: int, i: int, bounds: tuple[float, float] = (0.0, 1.0)) -> DatasetSpec:
-    """Member i of the family: i upper-bound values over n lower-bound values."""
-    lo, hi = bounds
-    mean = (i * hi + n * lo) / (n + i)
-    return DatasetSpec(DatasetKind.LOWER_BOUND_FAMILY, n, mean, bounds, family_k=i)
 
 
 def generate_dataset(spec: DatasetSpec) -> BoundedDataset:
     lo, hi = spec.bounds
     if spec.kind is DatasetKind.CONSTANT:
         values = np.full(spec.size, spec.target_mean, dtype=np.float64)
-    elif spec.kind is DatasetKind.TWO_POINT:
+    else:
         k = round(spec.size * (spec.target_mean - lo) / (hi - lo))
         values = np.repeat(np.array([hi, lo], dtype=np.float64), [k, spec.size - k])
-    else:
-        values = np.repeat(np.array([hi, lo], dtype=np.float64), [spec.family_k, spec.size])
     return BoundedDataset(values, lo, hi)
 
 
@@ -277,8 +261,7 @@ def worst_case_over_family(
     result against the 2/eps^2 benchmark.
     """
     check_count("k", k)
-    check_count("trials", trials)
-    check_count("dataset size", n)
+    check_count("dataset size", n)  # trials are checked by trial_uniform_pairs
     worst = -math.inf
     geometric = mechanism == GEOMETRIC_COUNT
     alpha = GeometricParams(math.exp(-eps.epsilon)).alpha if geometric else None
@@ -392,7 +375,7 @@ def write_metadata(path: str | Path, config: ExperimentConfig, preset: str | Non
 def config_from_json(data: dict) -> ExperimentConfig:
     """Parse an explicit sweep configuration (the metadata sidecar format)."""
     specs = [
-        DatasetSpec(s["kind"], s["size"], s["target_mean"], s["bounds"], s.get("family_k"))
+        DatasetSpec(s["kind"], s["size"], s["target_mean"], s["bounds"])
         for s in data["dataset_specs"]
     ]
     return ExperimentConfig(data["mechanisms"], data["epsilons"], specs, data["trials"], data["seed"])

@@ -72,13 +72,6 @@ def check_bounds(lower: float, upper: float) -> None:
         raise ValueError(f"bounds must be finite with lower < upper, got [{lower}, {upper}]")
 
 
-def check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integer and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class BoundedDataset:
     """Multiset of reals with declared public bounds [lower, upper].
@@ -320,9 +313,8 @@ class MechanismPlan:
             return first, second, w * _clip(_ratio(s_hat, n_hat), 0.0, 1.0) + self.lower
 
     def mean_estimate(self, d: BoundedDataset, noise: NoisePair) -> MeanEstimate:
-        """One release on d, which must have the plan's bounds, with the given noise."""
-        if len(d) == 0:
-            raise ValueError("cannot estimate the mean of an empty dataset")
+        """One release on d, which must have the plan's bounds, with the given
+        noise.  An empty d releases the noise alone: (s, n) = (0, 0)."""
         if (d.lower, d.upper) != (self.lower, self.upper):
             raise ValueError(f"dataset bounds differ from the plan's [{self.lower}, {self.upper}]")
         first, second, value = self.estimate(d.scaled_total, float(len(d)), noise.za, noise.zb)

@@ -56,6 +56,13 @@ def check_uint64(name: str, value) -> int:
     return int(value)
 
 
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1 (not a bool)."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def check_uint64_array(name: str, values) -> np.ndarray:
     """``check_uint64`` for integer arrays: ``values`` as a uint64 array, at
     least 1-D.  Anything but an array is checked entry by entry, because
@@ -278,6 +285,7 @@ def trial_uniform_pairs(seeds, trials: int):
     turn.  ``max(1, _BLOCK // trials)`` seeds share one kernel call, so
     cells of few trials fill a block and memory stays bounded at any trial
     count."""
+    check_count("trials", trials)
     seeds = check_uint64_array("seed", seeds)
     ids = np.arange(trials, dtype=np.uint64)
     per_call = max(1, _BLOCK // trials)

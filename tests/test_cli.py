@@ -14,7 +14,6 @@ from dpmean.harness import CSV_HEADER
 
 
 TWO_POINT_SPEC = {"kind": "two_point", "size": 30, "target_mean": 0.5, "bounds": [0.0, 1.0]}
-FAMILY_SPEC = {"kind": "lower_bound_family", "size": 30, "target_mean": 0.1, "bounds": [0.0, 1.0]}
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -93,6 +92,23 @@ class TestEstimate:
             outs[mech] = json.loads(out)["estimate"]
             assert 0.0 <= outs[mech] <= 1.0
         assert outs["shifted"] != outs["transformed"]
+
+    def test_empty_file_releases(self, tmp_path, capsys):
+        # refusing the empty dataset would reveal n = 0; it releases noise only
+        records = []
+        for text in ("", "\n  \n\n"):
+            path = tmp_path / "empty.txt"
+            path.write_text(text)
+            code, out, _ = run(
+                ["estimate", "--input", str(path), "--lower", "0", "--upper", "1",
+                 "--epsilon", "0.5", "--seed", "4"],
+                capsys,
+            )
+            assert code == 0
+            records.append(json.loads(out))
+        assert records[0] == records[1]
+        assert set(records[0]) == {"mechanism", "epsilon", "n_is_private", "estimate", "bounds"}
+        assert 0.0 <= records[0]["estimate"] <= 1.0
 
     def test_out_of_bounds_value_rejected_with_line_number(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -445,15 +461,14 @@ class TestFigures:
             {"epsilons": [True]},
             {"dataset_specs": [{**TWO_POINT_SPEC, "size": 10.5}]},
             {"dataset_specs": [{**TWO_POINT_SPEC, "size": True}]},
-            {"dataset_specs": [{**FAMILY_SPEC, "family_k": 1.5}]},
-            {"dataset_specs": [{**FAMILY_SPEC, "family_k": True}]},
+            {"dataset_specs": [{**TWO_POINT_SPEC, "kind": "lower_bound_family"}]},
             {"mechanisms": []},
             {"epsilons": []},
             {"dataset_specs": []},
             None,  # a non-object root
         ],
         ids=["trials-float", "trials-bool", "seed-float", "seed-bool", "epsilon-str",
-             "epsilon-bool", "size-float", "size-bool", "family_k-float", "family_k-bool",
+             "epsilon-bool", "size-float", "size-bool", "lower_bound_family",
              "mechanisms-empty", "epsilons-empty", "specs-empty", "root-list"],
     )
     def test_malformed_config_rejected(self, tmp_path, edit, capsys):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpmean.bounds import geometric_count_variance, mechanism_mse_bound
 from dpmean.harness import (
@@ -17,7 +19,6 @@ from dpmean.harness import (
     config_from_json,
     config_metadata,
     estimate_mse,
-    family_member_spec,
     generate_dataset,
     preset_config,
     preset_family_k,
@@ -34,12 +35,19 @@ from dpmean.noise import _BLOCK, GeometricParams, RandomStream, two_sided_geomet
 EPS = PrivacyBudget(0.5)
 GATE_SEED = 20240601
 
-# sha256 of `figures --preset fig2c --seed 7 --trials 200` output: the CSV and
-# its sidecar, recorded when each cell still had a kernel pass of its own
+# sha256 of `figures --preset fig2c --seed 7 --trials 200` output: the CSV,
+# recorded when each cell still had a kernel pass of its own, and its sidecar,
+# recorded when dataset specs lost the family member field
 FIG2C_SHA256 = {
     "fig2c.csv": "69ef9f7024935d8a901803c16cbea4b3ca967133cbb713b38944bfe2d1c55fd4",
-    "fig2c.csv.meta.json": "daf9421e23eeae8375607e428b8218f75206f567adb0df0dd7da76e58db3f54d",
+    "fig2c.csv.meta.json": "3997fe322ff3bb32d353f3d5b3ff743d12f6b9c57c86eca60b82f3c32a70dbe3",
 }
+
+# bounds of the ones-over-zeros property test: unit, symmetric, off-centre,
+# all-negative and widely scaled intervals
+FAMILY_BOUNDS = [
+    (0.0, 1.0), (-1.0, 1.0), (-2.86, 4.07), (-1e3, 1e-3), (0.1, 0.3), (-5.0, -2.0), (1e-6, 1e6),
+]
 
 
 def small_config(trials=50, seed=11):
@@ -79,11 +87,6 @@ class TestGenerateDataset:
                 assert len(d) == size
                 assert abs(true_mean(d) - target) <= 1.0 / (2.0 * size) + 1e-12
 
-    def test_family_member(self):
-        d = generate_dataset(family_member_spec(3, 2))
-        assert sorted(d.values) == [0.0, 0.0, 0.0, 1.0, 1.0]
-        assert len(d) == 5
-
     def test_target_mean_validated(self):
         with pytest.raises(ValueError):
             DatasetSpec(DatasetKind.CONSTANT, 3, 1.5, (0.0, 1.0))
@@ -93,9 +96,22 @@ class TestGenerateDataset:
             with pytest.raises(ValueError, match="bounds must be finite"):
                 DatasetSpec(DatasetKind.CONSTANT, 3, 0.5, bounds)
 
-    def test_family_requires_k(self):
-        with pytest.raises(ValueError):
-            DatasetSpec(DatasetKind.LOWER_BOUND_FAMILY, 3, 0.5, (0.0, 1.0))
+    def test_family_kind_rejected(self):
+        with pytest.raises(ValueError, match="is not a valid DatasetKind"):
+            DatasetSpec("lower_bound_family", 3, 0.5, (0.0, 1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bounds=st.sampled_from(FAMILY_BOUNDS),
+        n=st.integers(1, 10**5),
+        i=st.integers(1, 1000),
+    )
+    def test_two_point_spec_holds_family_member(self, bounds, n, i):
+        # member i of the ones-over-zeros family: i uppers over n lowers
+        lo, hi = bounds
+        d = generate_dataset(DatasetSpec("two_point", n + i, (i * hi + n * lo) / (n + i), bounds))
+        assert np.array_equal(d.values, np.repeat([hi, lo], [i, n]))
+        assert d.scaled_total == float(i)
 
 
 class TestEstimateMse:
@@ -215,6 +231,12 @@ class TestSweep:
         meta = config_metadata(config, preset=None)
         parsed = config_from_json(json.loads(json.dumps(meta)))
         assert parsed == config
+
+    def test_sidecar_with_family_k_replays(self):
+        # sidecars written before the family kind went hold "family_k": null
+        meta = config_metadata(small_config(), preset=None)
+        meta["dataset_specs"] = [{**spec, "family_k": None} for spec in meta["dataset_specs"]]
+        assert config_from_json(meta) == small_config()
 
     def test_failing_cell_aborts_with_context(self, monkeypatch):
         boom = ValueError("boom")
@@ -349,7 +371,7 @@ class TestWorstCaseFamily:
     def scalar_worst(mech, n, k, trials, seed):
         """worst_case_over_family as a loop of one release per trial."""
         geo = GeometricParams(math.exp(-EPS.epsilon))
-        members = {i: generate_dataset(family_member_spec(n, i)) for i in range(1, k + 1)}
+        members = {i: BoundedDataset(np.repeat([1.0, 0.0], [i, n]), 0.0, 1.0) for i in range(1, k + 1)}
         worst = -math.inf
         for i in range(1, k + 1):
             member_seed = _derived_seed(seed, i - 1)

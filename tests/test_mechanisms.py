@@ -103,13 +103,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             BoundedDataset([[0.5]], 0.0, 1.0)
 
-    def test_empty_dataset_rejected_by_estimators(self):
-        d = BoundedDataset((), 0.0, 1.0)
+    def test_empty_dataset_releases_noise_only(self):
+        # the release has no empty-input error, which would reveal n = 0
+        d = BoundedDataset((), -2.0, 3.0)
         with pytest.raises(ValueError):
             true_mean(d)
-        for est in ESTIMATORS.values():
-            with pytest.raises(ValueError):
-                est(d, EPS, ZERO)
+        for mech, est in ESTIMATORS.items():
+            plan = mechanism_plan(mech, -2.0, 3.0, EPS)
+            for za, zb in itertools.product((0.0, -1.5, 2.25), (0.0, 0.5, -3.0)):
+                value = est(d, EPS, NoisePair(za, zb)).value
+                assert value == plan.estimate(0.0, 0.0, za, zb)[2]
+                assert -2.0 <= value <= 3.0
 
 
 class TestDatasetStorage:

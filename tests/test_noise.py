@@ -439,3 +439,8 @@ class TestPhiloxKernel:
         for seed, (u_a, u_b) in zip(seeds, pairs):
             expected = open_uniform_pairs(seed, np.arange(trials, dtype=np.uint64))
             assert np.array_equal(u_a, expected[0]) and np.array_equal(u_b, expected[1])
+
+    @pytest.mark.parametrize("trials", [0, -1, True, 2.0])
+    def test_trial_count_validated(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            next(trial_uniform_pairs([3, 9], trials))

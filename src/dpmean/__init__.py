@@ -69,8 +69,6 @@ from .noise import (
     RandomStream,
     laplace_from_uniform,
     laplace_sample,
-    open_uniform_pairs,
-    philox_first_words,
     trial_uniform_pairs,
     two_sided_geometric_from_uniform,
     two_sided_geometric_sample,

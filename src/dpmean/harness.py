@@ -4,19 +4,21 @@ ones-over-zeros dataset family.
 
 Determinism contract
 --------------------
-Trial t of a cell seeded with s draws from stream (s, t): its estimate is
-exactly ``run_mechanism(d, eps, mechanism, RandomStream(s, t))``.  Sweep
-cell i derives its seed from the experiment seed with a SplitMix64 step
-(documented in _derived_seed).
+Trial t of a cell seeded with s draws from a cursor opened at counter t of
+stream (s, 0): its estimate is exactly
+``run_mechanism(d, eps, mechanism, Cursor(RandomStream(s, 0), t))``.
+Trial 0 is stream (s, 0) from its start, the stream a release seeded s
+draws from.  Sweep cell i derives its seed from the experiment seed with a
+SplitMix64 step (documented in _derived_seed).
 
-Trials are evaluated as arrays: several cells share one pass of the Philox
-kernel, in blocks of 4096 streams (``noise.trial_uniform_pairs``), then each
-cell runs the Laplace inverse CDF, its ``MechanismPlan`` (built once, as for
-a release) and the squared error elementwise on its own uniforms.  Each
-cell's squared errors are in trial order and reduced on their own with
-numpy's pairwise summation, so grouping moves no output bit.  Every sweep
-cell is a ``Mechanism``; only ``squared_errors`` and ``estimate_mse`` take a
-per-trial callable, and ``estimate_mse`` accepts and ignores ``workers``.
+Trials are evaluated as arrays: each cell draws its trials' uniforms with
+one ``noise.trial_uniform_pairs`` call, then runs the Laplace inverse CDF,
+its ``MechanismPlan`` (built once, as for a release) and the squared error
+elementwise.  Each cell's squared errors are in trial order and reduced on
+their own with numpy's pairwise summation, so a cell's output depends on no
+other cell.  Every sweep cell is a ``Mechanism``; only ``squared_errors``
+and ``estimate_mse`` take a per-trial callable, and ``estimate_mse``
+accepts and ignores ``workers``.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ class MseReport:
 
 def _estimates(plan: MechanismPlan, s: float, n: float, uniforms) -> np.ndarray:
     """Estimates of the plan on the aggregates (s, n), one per trial: given
-    uniforms (u_a, u_b), entry t is run_mechanism on the stream whose first
+    uniforms (u_a, u_b), entry t is run_mechanism on a cursor whose first
     two uniforms are u_a[t] and u_b[t]."""
     return plan.estimate(s, n, *map(laplace_from_uniform, uniforms, plan.scales))[2]
 
@@ -166,21 +168,19 @@ def squared_errors(
 ) -> np.ndarray:
     """Per-trial squared errors (estimate - true mean)^2, in trial order.
 
-    Trial t draws its noise from stream (seed, t).  ``mechanism`` is a
-    Mechanism, evaluated for all trials in one array pass, or -- for testing
-    the estimator machinery itself -- any callable (dataset, eps, cursor) ->
-    float, which is called once per trial.
+    Trial t draws its noise from a cursor at counter t of stream (seed, 0).
+    ``mechanism`` is a Mechanism, evaluated for all trials in one array pass,
+    or -- for testing the estimator machinery itself -- any callable
+    (dataset, eps, cursor) -> float, which is called once per trial.
     """
     check_count("trials", trials)
     if isinstance(mechanism, str):  # a Mechanism or its name
-        (uniforms,) = trial_uniform_pairs([seed], trials)
-        return _cell_squared_errors(d, mechanism, eps, uniforms)
+        return _cell_squared_errors(d, mechanism, eps, trial_uniform_pairs(seed, trials))
     mu = true_mean(d)
     sq = np.empty(trials, dtype=np.float64)
-    cursor = Cursor(RandomStream(seed, 0))
+    stream = RandomStream(seed, 0)
     for t in range(trials):
-        cursor.jump_to(RandomStream(seed, t))
-        err = mechanism(d, eps, cursor) - mu
+        err = mechanism(d, eps, Cursor(stream, t)) - mu
         sq[t] = err * err
     return sq
 
@@ -217,26 +217,24 @@ def estimate_mse(
 def sweep(config: ExperimentConfig) -> list[MseReport]:
     """Run the Cartesian product (mechanism, epsilon, dataset_spec) in that
     nesting order; deterministic given the config seed.  Each distinct spec
-    is built into a dataset once and shared by its cells, and the cells'
-    trial uniforms come from shared kernel passes.  Each report equals
-    ``estimate_mse`` on its cell with the cell's derived seed."""
+    is built into a dataset once and shared by its cells.  Each report
+    equals ``estimate_mse`` on its cell with the cell's derived seed."""
     cells = [
         (mech, e, spec)
         for mech in config.mechanisms
         for e in config.epsilons
         for spec in config.dataset_specs
     ]
-    seeds = [_derived_seed(config.seed, i) for i in range(len(cells))]
     datasets: dict[DatasetSpec, BoundedDataset] = {}
     reports = []
-    uniforms = trial_uniform_pairs(seeds, config.trials)
-    for index, ((mech, e, spec), seed, pair) in enumerate(zip(cells, seeds, uniforms)):
+    for index, (mech, e, spec) in enumerate(cells):
         try:
+            seed = _derived_seed(config.seed, index)
             d = datasets.get(spec)
             if d is None:
                 d = datasets[spec] = generate_dataset(spec)
             eps = PrivacyBudget(e)
-            sq = _cell_squared_errors(d, mech, eps, pair)
+            sq = _cell_squared_errors(d, mech, eps, trial_uniform_pairs(seed, config.trials))
             reports.append(_mse_report(sq, mech, eps, len(d), seed, spec))
         except Exception as exc:
             raise RuntimeError(
@@ -266,8 +264,8 @@ def worst_case_over_family(
     geometric = mechanism == GEOMETRIC_COUNT
     alpha = GeometricParams(math.exp(-eps.epsilon)).alpha if geometric else None
     plan = None if geometric else mechanism_plan(mechanism, 0.0, 1.0, eps)  # members lie in [0, 1]
-    members = trial_uniform_pairs([_derived_seed(seed, i) for i in range(k)], trials)
-    for i, uniforms in enumerate(members, start=1):
+    for i in range(1, k + 1):
+        uniforms = trial_uniform_pairs(_derived_seed(seed, i - 1), trials)
         if geometric:
             err = two_sided_geometric_from_uniform(uniforms[0], alpha).astype(np.float64)
         else:  # member i holds i ones over n zeros: (s, n) = (i, n + i) exactly

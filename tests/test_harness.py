@@ -30,16 +30,16 @@ from dpmean.harness import (
 )
 from dpmean.mechanisms import BoundedDataset, Mechanism, PrivacyBudget, run_mechanism, true_mean
 from dpmean.cli import main
-from dpmean.noise import _BLOCK, GeometricParams, RandomStream, two_sided_geometric_sample
+from dpmean.noise import Cursor, GeometricParams, RandomStream, two_sided_geometric_sample
 
 EPS = PrivacyBudget(0.5)
 GATE_SEED = 20240601
 
 # sha256 of `figures --preset fig2c --seed 7 --trials 200` output: the CSV,
-# recorded when each cell still had a kernel pass of its own, and its sidecar,
-# recorded when dataset specs lost the family member field
+# recorded when trial t became counter t of stream (seed, 0), and its
+# sidecar, recorded when dataset specs lost the family member field
 FIG2C_SHA256 = {
-    "fig2c.csv": "69ef9f7024935d8a901803c16cbea4b3ca967133cbb713b38944bfe2d1c55fd4",
+    "fig2c.csv": "95cf3a3d32f13c56a8cab108dec36088ee8ae0ba9c1a8996a9686cea3a4e9037",
     "fig2c.csv.meta.json": "3997fe322ff3bb32d353f3d5b3ff743d12f6b9c57c86eca60b82f3c32a70dbe3",
 }
 
@@ -145,13 +145,13 @@ class TestEstimateMse:
 
     @pytest.mark.parametrize("mech", list(Mechanism))
     def test_trials_equal_scalar_release_path(self, mech):
-        # trial t of the array engine is run_mechanism on stream (seed, t)
+        # trial t of the array engine is run_mechanism on a cursor at counter t of stream (seed, 0)
         d = generate_dataset(DatasetSpec(DatasetKind.TWO_POINT, 300, 0.02, (0.0, 1.0)))
         eps = PrivacyBudget(0.2)
         mu = true_mean(d)
         expected = []
         for t in range(997):
-            err = run_mechanism(d, eps, mech, RandomStream(8128, t)).value - mu
+            err = run_mechanism(d, eps, mech, Cursor(RandomStream(8128, 0), t)).value - mu
             expected.append(err * err)
         assert squared_errors(d, mech, eps, 997, 8128).tolist() == expected
 
@@ -282,9 +282,8 @@ class TestSweep:
         with pytest.raises(ValueError, match="bogus"):
             DatasetSpec("bogus", 5, 0.5, (0.0, 1.0))
 
-    @pytest.mark.parametrize("trials", [1, 7, _BLOCK // 3, _BLOCK + 1])
+    @pytest.mark.parametrize("trials", [1, 7, 1365, 4097])
     def test_reports_equal_per_cell_estimate_mse(self, trials):
-        # cells share kernel passes; each report must not notice
         config = small_config(trials=trials, seed=2**64 - 1)
         cells = [(m, e, s) for m in config.mechanisms for e in config.epsilons for s in config.dataset_specs]
         reports = sweep(config)
@@ -377,11 +376,11 @@ class TestWorstCaseFamily:
             member_seed = _derived_seed(seed, i - 1)
             errs = []
             for t in range(trials):
-                stream = RandomStream(member_seed, t)
+                cursor = Cursor(RandomStream(member_seed, 0), t)
                 if mech == GEOMETRIC_COUNT:
-                    errs.append(float(two_sided_geometric_sample(stream.cursor(), geo)))
+                    errs.append(float(two_sided_geometric_sample(cursor, geo)))
                 else:
-                    errs.append(n * run_mechanism(members[i], EPS, mech, stream).value - i)
+                    errs.append(n * run_mechanism(members[i], EPS, mech, cursor).value - i)
             sq = np.array([e * e for e in errs])
             worst = max(worst, float(np.sum(sq)) / trials)
         return worst
@@ -392,9 +391,9 @@ class TestWorstCaseFamily:
             expected = self.scalar_worst(mech, n, k, trials, seed)
             assert worst_case_over_family(mech, EPS, n, k, trials, seed) == expected
 
-    @pytest.mark.parametrize("k, trials", [(3, _BLOCK // 3 + 1), (2, _BLOCK + 1)])
+    @pytest.mark.parametrize("k, trials", [(3, 1366), (2, 4097)])
     def test_matches_scalar_loop_across_blocks(self, k, trials):
-        # members share a kernel pass below the block size, span two above it
+        # each trial reads its own Philox block: thousands of blocks per member
         for mech in (GEOMETRIC_COUNT, Mechanism.INDEPENDENT):
             expected = self.scalar_worst(mech, 300, k, trials, 29)
             assert worst_case_over_family(mech, EPS, 300, k, trials, 29) == expected

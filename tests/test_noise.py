@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpmean import noise
 from dpmean.noise import (
     Cursor,
     GeometricParams,
@@ -14,9 +13,6 @@ from dpmean.noise import (
     RandomStream,
     laplace_from_uniform,
     laplace_sample,
-    _BLOCK,
-    open_uniform_pairs,
-    philox_first_words,
     trial_uniform_pairs,
     two_sided_geometric_from_uniform,
     two_sided_geometric_sample,
@@ -212,6 +208,22 @@ class TestStreams:
                 fresh.uniform_open() for _ in range(8)
             ]
 
+    def test_cursor_at_counter_skips_whole_blocks(self):
+        # block t of a stream is the 4 words after the first 4t
+        for t in (0, 1, 2**40):
+            at = Cursor(RandomStream(7, 3), t)
+            gen = numpy_stream(7, 3)
+            if t < 2**20:
+                gen.bit_generator.random_raw(4 * t)
+            else:
+                gen.bit_generator.advance(t)
+            assert [at.uniform_open() for _ in range(6)] == [gen.random() for _ in range(6)]
+
+    def test_cursor_counter_validated(self):
+        for bad in (-1, 2**64, 1.5, True):
+            with pytest.raises(ValueError, match="counter must be an unsigned 64-bit integer"):
+                Cursor(RandomStream(7, 0), bad)
+
     def test_batch_uniforms_match_scalar(self):
         a = RandomStream(9, 9).cursor()
         b = RandomStream(9, 9).cursor()
@@ -263,184 +275,133 @@ class _FirstDrawZero:
 
 
 class TestPhiloxKernel:
+    """``trial_uniform_pairs``, drawn through numpy's C Philox kernel,
+    against a numpy Philox opened at counter t: trial t is a cursor at
+    counter t of stream (seed, 0)."""
+
     @staticmethod
-    def assert_matches_numpy(seed, ids):
-        w0, w1 = philox_first_words(seed, ids)
-        u0, u1 = open_uniform_pairs(seed, ids)
-        for i, sid in enumerate(ids.tolist()):
-            assert numpy_stream(seed, sid).bit_generator.random_raw(2).tolist() == [w0[i], w1[i]]
-            gen = numpy_stream(seed, sid)
-            assert (gen.random(), gen.random()) == (u0[i], u1[i])
+    def numpy_trial(seed, t):
+        return np.random.Generator(
+            np.random.Philox(key=np.array([seed, 0], dtype=np.uint64), counter=[t, 0, 0, 0])
+        )
 
     def test_first_words_match_numpy_philox(self):
-        self.assert_matches_numpy(20240601, np.arange(10_000, dtype=np.uint64))
+        trials = 10_000
+        u0, u1 = trial_uniform_pairs(20240601, trials)
+        assert u0.shape == u1.shape == (trials,)
+        for t in range(0, trials, 97):
+            gen = self.numpy_trial(20240601, t)
+            assert (gen.random(), gen.random()) == (u0[t], u1[t])
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
     def test_edge_keys(self, seed):
-        # ids near 2^64 - 1 make the Weyl increments of the key wrap
-        top = np.arange(2**64 - 600, 2**64, dtype=np.uint64)
-        ids = np.concatenate([np.arange(600, dtype=np.uint64), top, np.array([2**63], dtype=np.uint64)])
-        self.assert_matches_numpy(seed, ids)
+        trials = 600
+        u0, u1 = trial_uniform_pairs(seed, trials)
+        for t in (0, 1, trials - 1):
+            gen = self.numpy_trial(seed, t)
+            assert (gen.random(), gen.random()) == (u0[t], u1[t])
 
     def test_scalar_id_is_a_batch_of_one(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            w0, w1 = philox_first_words(2**64 - 1, 2**64 - 1)
-        assert numpy_stream(2**64 - 1, 2**64 - 1).bit_generator.random_raw(2).tolist() == [w0[0], w1[0]]
+        u0, u1 = trial_uniform_pairs(2**64 - 1, 1)
+        gen = numpy_stream(2**64 - 1, 0)
+        assert u0.shape == u1.shape == (1,)
+        assert (gen.random(), gen.random()) == (u0[0], u1[0])
+
+    @pytest.mark.parametrize("seed", [0, 77, 2**64 - 1])
+    def test_trial_zero_is_the_release_stream(self, seed):
+        # `dpmean estimate` draws from RandomStream(seed, 0) from its start
+        u0, u1 = trial_uniform_pairs(seed, 5)
+        cursor = RandomStream(seed, 0).cursor()
+        assert (cursor.uniform_open(), cursor.uniform_open()) == (u0[0], u1[0])
 
     def test_seed_validated(self):
         for bad in (-1, 2**64, 1.5, True):
             with pytest.raises(ValueError, match="unsigned 64-bit integer"):
-                open_uniform_pairs(bad, np.arange(3, dtype=np.uint64))
-
-    @pytest.mark.parametrize(
-        "ids",
-        [[1.5], [True], np.array([-1]), np.array([3, -1], dtype=np.int8),
-         [2**64 - 1, 1.0], [2**64 - 1, True], [2**64 - 1, -1], [2**64 - 1, 2**64]],
-        ids=["float", "bool", "negative", "negative-int8",
-             "float-beside-top", "bool-beside-top", "negative-beside-top", "too-large-beside-top"],
-    )
-    def test_stream_ids_validated(self, ids):
-        for kernel in (open_uniform_pairs, philox_first_words):
-            with pytest.raises(ValueError, match="unsigned 64-bit integer"):
-                kernel(7, ids)
-
-    def test_integer_stream_ids_of_any_width(self):
-        # a signed array without negative entries keys the same streams
-        expected = philox_first_words(7, np.array([0, 5], dtype=np.uint64))
-        for ids in ([0, 5], np.array([0, 5], dtype=np.int32), np.array([0, 5], dtype=np.uint8)):
-            assert np.array_equal(philox_first_words(7, ids), expected)
-
-    def test_list_ids_above_2_63_convert_exactly(self):
-        # np.asarray would make this list float64 and reject it
-        ids = [2**64 - 1, 1, 2**63]
-        as_array = np.array(ids, dtype=np.uint64)
-        self.assert_matches_numpy(7, as_array)
-        assert np.array_equal(philox_first_words(7, ids), philox_first_words(7, as_array))
-        for got, expected in zip(open_uniform_pairs(7, ids), open_uniform_pairs(7, as_array)):
-            assert got.tobytes() == expected.tobytes()
-        seeds = [[2**64 - 1], [5]]
-        for got, expected in zip(
-            open_uniform_pairs(seeds, ids), open_uniform_pairs(np.array(seeds, dtype=np.uint64), as_array)
-        ):
-            assert got.shape == (2, 3) and got.tobytes() == expected.tobytes()
+                trial_uniform_pairs(bad, 3)
 
     def test_pairs_equal_two_scalar_draws(self):
-        ids = np.array([0, 5, 2**40, 3], dtype=np.uint64)
-        u0, u1 = open_uniform_pairs(77, ids)
-        for i, sid in enumerate(ids.tolist()):
-            cursor = RandomStream(77, sid).cursor()
-            assert (cursor.uniform_open(), cursor.uniform_open()) == (u0[i], u1[i])
+        u0, u1 = trial_uniform_pairs(77, 50)
+        for t in (0, 5, 17, 49):
+            cursor = Cursor(RandomStream(77, 0), t)
+            assert (cursor.uniform_open(), cursor.uniform_open()) == (u0[t], u1[t])
+
+    @staticmethod
+    def force_zero_word(monkeypatch, seed, target):
+        """Make word 0 of trial ``target``'s block read as zero, both in the
+        batch draw and in that trial's own cursor."""
+        real_init = Cursor.__init__
+
+        class ZeroedWord:
+            def __init__(self, bitgen):
+                self._bitgen = bitgen
+
+            def random_raw(self, size):
+                words = self._bitgen.random_raw(size)
+                words[4 * target] = 0
+                return words
+
+        def init(self, stream, counter=0):
+            real_init(self, stream, counter)
+            if stream == RandomStream(seed, 0):
+                if counter == 0:
+                    self._bitgen = ZeroedWord(self._bitgen)
+                elif counter == target:
+                    self._gen = _FirstDrawZero(self._gen)
+
+        monkeypatch.setattr(Cursor, "__init__", init)
 
     def test_zero_word_redraws_like_scalar_cursor(self, monkeypatch):
         seed, target = 31, 17
-        ids = np.arange(64, dtype=np.uint64)
-        clean = open_uniform_pairs(seed, ids)
-
-        def forced(seed_, ids_):
-            w0, w1 = philox_first_words(seed_, ids_)
-            w0[ids_ == target] = 0
-            return w0, w1
-
-        real_init = Cursor.__init__
-
-        def init(self, stream):
-            real_init(self, stream)
-            if stream == RandomStream(seed, target):
-                self._gen = _FirstDrawZero(self._gen)
-
-        monkeypatch.setattr(noise, "philox_first_words", forced)
-        monkeypatch.setattr(Cursor, "__init__", init)
-        u0, u1 = open_uniform_pairs(seed, ids)
-        scalar = RandomStream(seed, target).cursor()
+        clean = trial_uniform_pairs(seed, 64)
+        self.force_zero_word(monkeypatch, seed, target)
+        u0, u1 = trial_uniform_pairs(seed, 64)
+        scalar = Cursor(RandomStream(seed, 0), target)
         assert (u0[target], u1[target]) == (scalar.uniform_open(), scalar.uniform_open())
-        # the redraw skips the zero word: the pair is words 1 and 2
-        gen = numpy_stream(seed, target)
+        # the redraw skips the zero word: the pair is words 1 and 2 of the block
+        gen = self.numpy_trial(seed, target)
         gen.random()
         assert (u0[target], u1[target]) == (gen.random(), gen.random())
-        others = ids != target
+        others = np.arange(64) != target
         assert np.array_equal(u0[others], clean[0][others])
         assert np.array_equal(u1[others], clean[1][others])
-
-    def test_seed_grid_matches_per_seed_calls(self):
-        seeds = np.array([[0], [5], [2**63], [2**64 - 1], [20240601]], dtype=np.uint64)
-        ids = np.concatenate([np.arange(37, dtype=np.uint64), np.array([2**64 - 1], dtype=np.uint64)])
-        w0, w1 = philox_first_words(seeds, ids)
-        u0, u1 = open_uniform_pairs(seeds, ids)
-        assert w0.shape == u0.shape == (5, 38)
-        for row, seed in enumerate(seeds[:, 0].tolist()):
-            one = philox_first_words(seed, ids)
-            assert np.array_equal(w0[row], one[0]) and np.array_equal(w1[row], one[1])
-            pair = open_uniform_pairs(seed, ids)
-            assert np.array_equal(u0[row], pair[0]) and np.array_equal(u1[row], pair[1])
-            for col, sid in enumerate(ids.tolist()):
-                expected = numpy_stream(seed, sid).bit_generator.random_raw(2).tolist()
-                assert expected == [w0[row, col], w1[row, col]]
-
-    @pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
-    def test_block_edges_equal_one_stream_at_a_time(self, size):
-        # a different seed every few streams, so blocks also cut across seeds
-        ids = np.arange(size, dtype=np.uint64)
-        seeds = 2**64 - 1 - ids // 3
-        w0, w1 = philox_first_words(seeds, ids)
-        for i in range(size):
-            expected = numpy_stream(int(seeds[i]), i).bit_generator.random_raw(2).tolist()
-            assert expected == [w0[i], w1[i]]
-        for i in {0, _BLOCK - 1, _BLOCK, size - 1} & set(range(size)):
-            one = philox_first_words(int(seeds[i]), i)
-            assert (one[0][0], one[1][0]) == (w0[i], w1[i])
-
-    def test_max_seed_in_an_array_raises_no_warning(self):
-        seeds = np.array([[2**64 - 1], [1]], dtype=np.uint64)
-        ids = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            w0, w1 = philox_first_words(seeds, ids)
-            pairs = list(trial_uniform_pairs([2**64 - 1, 1], 3))
-        expected = numpy_stream(2**64 - 1, 2**64 - 1).bit_generator.random_raw(2).tolist()
-        assert expected == [w0[0, 2], w1[0, 2]]
-        gen = numpy_stream(2**64 - 1, 2)
-        assert (pairs[0][0][2], pairs[0][1][2]) == (gen.random(), gen.random())
 
     def test_zero_word_in_a_seed_batch_redraws_from_its_own_seed(self, monkeypatch):
-        seeds = np.array([[31], [32], [33]], dtype=np.uint64)
-        hit_seed, target = 32, 17
-        ids = np.arange(64, dtype=np.uint64)
-        clean = open_uniform_pairs(seeds, ids)
-
-        def forced(seeds_, ids_):
-            w0, w1 = philox_first_words(seeds_, ids_)
-            w0[(seeds_ == hit_seed) & (ids_ == target)] = 0
-            return w0, w1
-
-        real_init = Cursor.__init__
-
-        def init(self, stream):
-            real_init(self, stream)
-            if stream == RandomStream(hit_seed, target):
-                self._gen = _FirstDrawZero(self._gen)
-
-        monkeypatch.setattr(noise, "philox_first_words", forced)
-        monkeypatch.setattr(Cursor, "__init__", init)
-        u0, u1 = open_uniform_pairs(seeds, ids)
-        gen = numpy_stream(hit_seed, target)
+        # of a sweep's cells, only the hit one moves, and it redraws from its own seed
+        seeds, hit_seed, target = (31, 32, 33), 32, 17
+        clean = [trial_uniform_pairs(s, 64) for s in seeds]
+        self.force_zero_word(monkeypatch, hit_seed, target)
+        pairs = {s: trial_uniform_pairs(s, 64) for s in seeds}
+        for seed, (u0, u1) in zip(seeds, clean):
+            if seed != hit_seed:
+                assert np.array_equal(pairs[seed][0], u0) and np.array_equal(pairs[seed][1], u1)
+        u0, u1 = pairs[hit_seed]
+        gen = self.numpy_trial(hit_seed, target)
         gen.random()  # the zero word
-        assert (u0[1, target], u1[1, target]) == (gen.random(), gen.random())
-        others = np.ones(u0.shape, dtype=bool)
-        others[1, target] = False
-        assert np.array_equal(u0[others], clean[0][others])
-        assert np.array_equal(u1[others], clean[1][others])
+        assert (u0[target], u1[target]) == (gen.random(), gen.random())
+        assert np.array_equal(np.delete(u0, target), np.delete(clean[1][0], target))
 
-    @pytest.mark.parametrize("trials", [1, 7, _BLOCK // 3, _BLOCK + 1])
+    def test_max_seed_in_an_array_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u0, u1 = trial_uniform_pairs(2**64 - 1, 3)
+        gen = self.numpy_trial(2**64 - 1, 2)
+        assert (u0[2], u1[2]) == (gen.random(), gen.random())
+
+    @pytest.mark.parametrize("trials", [1, 7, 1365, 4097])
     def test_trial_pairs_equal_per_seed_calls(self, trials):
-        seeds = [3, 2**64 - 1, 0, 2**40, 9]
-        pairs = list(trial_uniform_pairs(seeds, trials))
-        assert len(pairs) == len(seeds)
-        for seed, (u_a, u_b) in zip(seeds, pairs):
-            expected = open_uniform_pairs(seed, np.arange(trials, dtype=np.uint64))
-            assert np.array_equal(u_a, expected[0]) and np.array_equal(u_b, expected[1])
+        for seed in (3, 2**64 - 1, 0, 2**40, 9):
+            u_a, u_b = trial_uniform_pairs(seed, trials)
+            cursors = [Cursor(RandomStream(seed, 0), t) for t in range(trials)]
+            expected = [(c.uniform_open(), c.uniform_open()) for c in cursors]
+            assert list(zip(u_a.tolist(), u_b.tolist())) == expected
 
     @pytest.mark.parametrize("trials", [0, -1, True, 2.0])
     def test_trial_count_validated(self, trials):
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
-            next(trial_uniform_pairs([3, 9], trials))
+            trial_uniform_pairs(3, trials)
+
+    def test_adjacent_trials_uncorrelated(self):
+        # at 10^5 trials the 0.02 gate sits over 6 standard errors out
+        u0, u1 = trial_uniform_pairs(20240601, 100_000)
+        for a, b in ((u0[:-1], u0[1:]), (u1[:-1], u1[1:]), (u0[:-1], u1[1:]), (u0, u1)):
+            assert abs(np.corrcoef(a, b)[0, 1]) < 0.02

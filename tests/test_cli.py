@@ -1,4 +1,5 @@
 import json
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -206,7 +207,19 @@ class TestEstimateValidation:
             assert expected in err
 
 
+# Digit strings with the dot anywhere or absent: those of 1-14 digits take
+# the exact array path of ``_read_values`` when unpadded, the rest ``float``.
+FIXED_POINT = st.tuples(st.text(alphabet="0123456789", min_size=1, max_size=16), st.integers(-1, 16)).map(
+    lambda t: t[0] if t[1] < 0 else t[0][: t[1]] + "." + t[0][t[1]:]
+)
+FIXED_POINT_EDGES = [
+    "5.", ".5", "0.", ".0", "007", "0000000000000.0",
+    "99999999999999", "99999999999999.", ".99999999999999", "9999999.9999999",  # 14 digits
+    "999999999999999", "999999999999999.", ".999999999999999", "99999999.9999999",  # 15 digits
+]
 NUMBER_TEXT = st.one_of(
+    FIXED_POINT,
+    st.sampled_from(FIXED_POINT_EDGES),
     st.floats(allow_nan=False).map(repr),
     st.floats(allow_nan=False, min_value=0.0).map(lambda x: "+" + repr(x)),
     st.floats(allow_nan=False).map(lambda x: f"{x:.6e}"),
@@ -249,6 +262,69 @@ class TestReadValues:
     def test_matches_line_by_line_float_in_tiny_chunks(self, tmp_path, monkeypatch, chunk, numbered_lines):
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         self.assert_matches_line_by_line_float(tmp_path, numbered_lines)
+
+    def test_fixed_point_lines_match_float(self, tmp_path):
+        # Over 10^5 lines of 1-15 digits, dot anywhere or absent, and a blank
+        # or padded line in 50, several chunks at the default size: exact
+        # lines, and 15-digit and blank ones among them, and the chunk seams.
+        rng = np.random.default_rng(12)
+        widths = rng.integers(1, 16, 100_000)
+        mantissas = rng.integers(0, 10**15, 100_000) % 10**widths
+        dots = rng.integers(-1, 16, 100_000)
+        lines = []
+        for i, (m, width, dot) in enumerate(zip(mantissas.tolist(), widths.tolist(), dots.tolist())):
+            text = f"{m:0{width}d}"
+            lines.append(text if dot < 0 else text[:dot] + "." + text[dot:])
+            if i % 50 == 7:
+                lines[-1] = ["", " ", "\t\x1c", " 0.5"][i % 4]
+        self.assert_matches_line_by_line_float(tmp_path, [(l, "\n") for l in lines])
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(FIXED_POINT, min_size=1, max_size=60), st.lists(st.tuples(st.integers(0, 60), LINE), max_size=4))
+    def test_mostly_fixed_point_lines_match_float(self, tmp_path, fixed, others):
+        # Blocks at or near the share of exact lines that takes the array pass.
+        lines = list(fixed)
+        for at, line in others:
+            lines.insert(at, line)
+        self.assert_matches_line_by_line_float(tmp_path, [(l, "\n") for l in lines])
+
+    def test_non_ascii_line_in_a_later_chunk(self, tmp_path):
+        # float reads the Arabic-Indic digit three and strips the ideographic
+        # space; the chunks around theirs are ASCII.
+        head = [f"0.{i:06d}" for i in range(20_000)]
+        lines = head + ["\u0663", "\u30000.5", "0.25"] + head
+        self.assert_matches_line_by_line_float(tmp_path, [(l, "\n") for l in lines])
+
+    def test_only_other_lines_reach_float(self, tmp_path, monkeypatch):
+        # In a block of 7 exact lines in 8 or more, lines of 1-14 digits with
+        # at most one dot never call float.
+        seen = []
+        monkeypatch.setattr(cli, "float", lambda text: seen.append(text) or float(text), raising=False)
+        path = tmp_path / "values.txt"
+        path.write_text("0.123456789\n1\n.5\n5.\n12345678901234\n" * 5 + "+0.5\n123456789012345\n 7\n")
+        exact = [0.123456789, 1.0, 0.5, 5.0, 12345678901234.0]
+        assert _read_values(str(path)).tolist() == exact * 5 + [0.5, 123456789012345.0, 7.0]
+        assert seen == ["+0.5", "123456789012345", "7"]
+
+    # Below 7 exact lines in 8 the array pass costs more than it saves: a
+    # sign in the head screens the first block out, 15-digit lines the pass.
+    @pytest.mark.parametrize("lines", [["0.5", "-0.25", "1.5"], ["123456789012345"] * 8 + ["0.5"]])
+    def test_a_block_of_mostly_other_lines_goes_through_float(self, tmp_path, monkeypatch, lines):
+        seen = []
+        monkeypatch.setattr(cli, "float", lambda text: seen.append(text) or float(text), raising=False)
+        path = tmp_path / "values.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        assert _read_values(str(path)).tolist() == [float(line) for line in lines]
+        assert seen == lines
+
+    @pytest.mark.parametrize("bad", [".", "1.2.3", "..5", "5..", "1.2.", "1.\x7f"])
+    def test_dots_and_digits_that_are_not_a_number(self, tmp_path, bad):
+        # Short lines of digits and dots that float refuses are refused, in a
+        # block that takes the array pass.
+        path = tmp_path / "values.txt"
+        path.write_text("0.5\n" * 20 + f"{bad}\n0.25\n")
+        with pytest.raises(cli.ValidationError, match=f"^line 21: not a decimal number: {re.escape(repr(bad))}$"):
+            _read_values(str(path))
 
     @pytest.mark.parametrize("chunk", [7, cli._CHUNK])
     @pytest.mark.parametrize(

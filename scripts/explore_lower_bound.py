@@ -17,6 +17,7 @@ import sys
 from dpmean.bounds import geometric_count_variance
 from dpmean.harness import GEOMETRIC_COUNT, preset_family_k, worst_case_over_family
 from dpmean.mechanisms import Mechanism, PrivacyBudget
+from dpmean.noise import check_uint64
 
 
 def main() -> int:
@@ -29,13 +30,18 @@ def main() -> int:
     for name in ("n", "trials"):
         if getattr(args, name) < 1:
             parser.error(f"--{name} must be at least 1")
+    try:
+        check_uint64("--seed", args.seed)
+        budgets = [PrivacyBudget(e) for e in args.epsilons]
+    except ValueError as exc:
+        parser.error(str(exc))
 
     print(f"n={args.n}, trials={args.trials}, seed={args.seed}")
     header = f"{'eps':>5} {'k':>3} {'benchmark':>10} {'geo(exact)':>11} {'geo(mc)':>9}"
     header += "".join(f"{m.value:>14}" for m in Mechanism)
     print(header)
-    for eps_value in args.epsilons:
-        eps = PrivacyBudget(eps_value)
+    for eps in budgets:
+        eps_value = eps.epsilon
         k = preset_family_k(args.n, eps_value)
         benchmark = 2.0 / eps_value**2
         geo_mc = worst_case_over_family(GEOMETRIC_COUNT, eps, args.n, k, args.trials, args.seed)

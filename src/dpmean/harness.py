@@ -260,6 +260,7 @@ def worst_case_over_family(
     """
     check_count("k", k)
     check_count("dataset size", n)  # trials are checked by trial_uniform_pairs
+    check_uint64("seed", seed)
     worst = -math.inf
     geometric = mechanism == GEOMETRIC_COUNT
     alpha = GeometricParams(math.exp(-eps.epsilon)).alpha if geometric else None

@@ -407,3 +407,9 @@ class TestWorstCaseFamily:
     def test_trials_validated(self, mech, trials):
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             worst_case_over_family(mech, EPS, 100, 2, trials, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_seed_validated(self, seed):
+        # masking to 64 bits would run -1 as 2^64 - 1 and 2^64 as 0
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            worst_case_over_family(Mechanism.TRANSFORMED, EPS, 100, 3, 50, seed)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpmean.mechanisms import (
+    _SUM_BLOCK,
     AggregateVector,
     BoundedDataset,
     Mechanism,
@@ -161,6 +162,51 @@ class TestDatasetStorage:
         assert d.total.hex() == math.fsum(values.tolist()).hex()
         assert d.shifted_total.hex() == math.fsum((values - m).tolist()).hex()
         assert d.scaled_total.hex() == math.fsum(((values - lo) / w).tolist()).hex()
+
+
+class TestScaledTotal:
+    """``scaled_total`` sums exact per-exponent partials in blocks; it must
+    equal fsum of the list of its terms bit for bit."""
+
+    @staticmethod
+    def assert_equals_fsum(values, lo, hi):
+        d = BoundedDataset(values, lo, hi)
+        terms = ((d.values - lo) / (hi - lo)).tolist()
+        assert d.scaled_total.hex() == math.fsum(terms).hex()
+
+    @pytest.mark.parametrize(
+        "size", [0, 1, _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1, 3 * _SUM_BLOCK + 7]
+    )
+    def test_block_edges(self, size):
+        rng = np.random.default_rng(size)
+        self.assert_equals_fsum(rng.uniform(-3.0, 7.5, size), -3.0, 7.5)
+
+    def test_million_nine_decimal_values(self):
+        # the release benchmark's input: Beta(2, 5) on a grid of 1e-9
+        rng = np.random.default_rng(5)
+        values = np.rint(rng.beta(2.0, 5.0, 10**6) * 1e9) / 1e9
+        values[:3] = (0.0, 1.0, 0.5)
+        self.assert_equals_fsum(values, 0.0, 1.0)
+
+    def test_negative_zero_at_a_zero_lower_bound(self):
+        # -0.0 - 0.0 keeps the sign bit, so the term is -0.0
+        values = np.array([-0.0] * 5 + [0.25, 1.0, -0.0])
+        self.assert_equals_fsum(values, 0.0, 1.0)
+        self.assert_equals_fsum(np.array([-0.0, -0.0]), 0.0, 1.0)
+
+    def test_subnormal_terms(self):
+        rng = np.random.default_rng(11)
+        values = np.concatenate([rng.uniform(0.0, 1e-10, 3000), rng.uniform(0.0, 1e300, 10), [5e-324, 1e300]])
+        assert 0.0 < (values[0] - 0.0) / 1e300 < 2.0**-1022
+        self.assert_equals_fsum(values, 0.0, 1e300)
+
+    def test_partials_are_summed_correctly_rounded(self):
+        # exact total 1.5 + 2^-53 + 2^-80 rounds up; adding the four
+        # one-bit partials in order rounds twice and ends on 1.5
+        values = np.array([2.0**-80, 2.0**-53, 0.5, 1.0])
+        d = BoundedDataset(values, 0.0, 1.0)
+        assert d.scaled_total == 1.5 + 2.0**-52
+        self.assert_equals_fsum(values, 0.0, 1.0)
 
 
 class TestClip:

@@ -140,6 +140,8 @@ def _parse(block: str) -> np.ndarray:
         ends = np.flatnonzero(buf == 10)
         lens = np.diff(ends, prepend=_ROW - 1) - 1
         exact, values = _exact(buf, ends, lens)
+        if exact.all():
+            return values
         if 8 * np.count_nonzero(exact) >= 7 * len(exact):
             slow = np.flatnonzero(~exact)
             texts = [block[e - n - _ROW:e - _ROW].strip() for e, n in zip(ends[slow].tolist(), lens[slow].tolist())]
@@ -176,7 +178,8 @@ def _read_values(path: str) -> np.ndarray:
                 if cut:
                     parts.append(_parse(text[:cut]))
                 tail = text[cut:]
-        parts.append(_parse(tail + "\n"))
+        if tail:
+            parts.append(_parse(tail + "\n"))
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         # Only a rejected file is read again in full, to report the error as
         # a whole-file read does and to number the offending line.
@@ -186,7 +189,7 @@ def _read_values(path: str) -> np.ndarray:
             except ValueError as exc:
                 raise ValidationError(f"line {lineno}: not a decimal number: {line!r}") from exc
         raise
-    return np.concatenate(parts)
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:

@@ -11,14 +11,20 @@ Trial 0 is stream (s, 0) from its start, the stream a release seeded s
 draws from.  Sweep cell i derives its seed from the experiment seed with a
 SplitMix64 step (documented in _derived_seed).
 
-Trials are evaluated as arrays: each cell draws its trials' uniforms with
-one ``noise.trial_uniform_pairs`` call, then runs the Laplace inverse CDF,
-its ``MechanismPlan`` (built once, as for a release) and the squared error
-elementwise.  Each cell's squared errors are in trial order and reduced on
-their own with numpy's pairwise summation, so a cell's output depends on no
-other cell.  Every sweep cell is a ``Mechanism``; only ``squared_errors``
-and ``estimate_mse`` take a per-trial callable, and ``estimate_mse``
-accepts and ignores ``workers``.
+Trials are evaluated as arrays, and cells that share a ``MechanismPlan``
+(a sweep's cells of one mechanism, epsilon and bounds, or one mechanism's
+family members) as rows of one array: the group builds its plan once, as
+for a release, draws each row's uniforms from the row's own seed with one
+``noise.trial_uniform_pairs`` call, then runs the Laplace inverse CDF, the
+plan and the squared error elementwise.  Each row holds one cell's squared
+errors in trial order and is reduced on its own along its contiguous axis
+with numpy's pairwise summation, bit for bit as a 1-D sum of that cell's
+errors, so a cell's output depends on no other cell, nor on which cells
+share its batch.  A batch holds at most ``_BATCH_TRIALS`` trials; a cell
+with more runs alone.  A single cell (``squared_errors``, ``estimate_mse``)
+is the one-row case.  Every sweep cell is a ``Mechanism``; only
+``squared_errors`` and ``estimate_mse`` take a per-trial callable, and
+``estimate_mse`` accepts and ignores ``workers``.
 """
 
 from __future__ import annotations
@@ -145,17 +151,31 @@ class MseReport:
     seed: int
 
 
-def _estimates(plan: MechanismPlan, s: float, n: float, uniforms) -> np.ndarray:
+#: Trials evaluated in one array pass, over all the rows of a batch; a cell
+#: with more trials than this is a batch of its own.
+_BATCH_TRIALS = 1 << 16
+
+
+def _batches(items, trials: int) -> list:
+    """Consecutive slices of ``items`` holding at most _BATCH_TRIALS trials
+    between them, ``trials`` per item (one item per slice at the least)."""
+    step = max(1, _BATCH_TRIALS // trials)
+    return [items[i : i + step] for i in range(0, len(items), step)]
+
+
+def _estimates(plan: MechanismPlan, s, n, uniforms) -> np.ndarray:
     """Estimates of the plan on the aggregates (s, n), one per trial: given
     uniforms (u_a, u_b), entry t is run_mechanism on a cursor whose first
-    two uniforms are u_a[t] and u_b[t]."""
+    two uniforms are u_a[t] and u_b[t].  Column arrays s, n of one entry per
+    row evaluate rows of uniforms, one cell per row."""
     return plan.estimate(s, n, *map(laplace_from_uniform, uniforms, plan.scales))[2]
 
 
-def _cell_squared_errors(d: BoundedDataset, mechanism: Mechanism, eps: PrivacyBudget, uniforms) -> np.ndarray:
-    """Per-trial squared errors of the mechanism on d, given its trials' uniform pairs."""
-    plan = mechanism_plan(mechanism, d.lower, d.upper, eps)
-    err = _estimates(plan, d.scaled_total, float(len(d)), uniforms) - true_mean(d)
+def _squared_error_rows(plan: MechanismPlan, datasets, seeds, trials: int) -> np.ndarray:
+    """Squared errors (estimate - true mean)^2 of the plan, one C-contiguous
+    row per dataset in trial order: row j draws its trials from seeds[j]."""
+    s, n, mu = np.array([(d.scaled_total, float(len(d)), true_mean(d)) for d in datasets]).T[..., None]
+    err = _estimates(plan, s, n, trial_uniform_pairs(seeds, trials)) - mu
     return err * err
 
 
@@ -169,13 +189,15 @@ def squared_errors(
     """Per-trial squared errors (estimate - true mean)^2, in trial order.
 
     Trial t draws its noise from a cursor at counter t of stream (seed, 0).
-    ``mechanism`` is a Mechanism, evaluated for all trials in one array pass,
-    or -- for testing the estimator machinery itself -- any callable
-    (dataset, eps, cursor) -> float, which is called once per trial.
+    ``mechanism`` is a Mechanism, evaluated for all trials in one array pass
+    as a one-row case of the sweep's rows, or -- for testing the estimator
+    machinery itself -- any callable (dataset, eps, cursor) -> float, which
+    is called once per trial.
     """
     check_count("trials", trials)
     if isinstance(mechanism, str):  # a Mechanism or its name
-        return _cell_squared_errors(d, mechanism, eps, trial_uniform_pairs(seed, trials))
+        plan = mechanism_plan(mechanism, d.lower, d.upper, eps)
+        return _squared_error_rows(plan, [d], [seed], trials)[0]
     mu = true_mean(d)
     sq = np.empty(trials, dtype=np.float64)
     stream = RandomStream(seed, 0)
@@ -185,12 +207,17 @@ def squared_errors(
     return sq
 
 
-def _mse_report(sq: np.ndarray, mechanism, eps: PrivacyBudget, n: int, seed: int, spec) -> MseReport:
-    """The MseReport of one cell's per-trial squared errors."""
-    trials = len(sq)
-    mse = float(np.sum(sq)) / trials
-    stderr = float(np.std(sq, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0
-    return MseReport(mechanism, eps.epsilon, spec, n, mse, mse * float(n * n), stderr, trials, seed)
+def _mse_reports(sq: np.ndarray, rows) -> list[MseReport]:
+    """One MseReport per row of squared errors, rows[j] = (mechanism,
+    epsilon, dataset spec, n, seed) of row j.  Each row is reduced on its own
+    along its contiguous axis, bit for bit as a 1-D sum and std of it."""
+    trials = sq.shape[1]
+    mse = (np.sum(sq, axis=1) / trials).tolist()
+    stderr = (np.std(sq, axis=1, ddof=1) / math.sqrt(trials)).tolist() if trials > 1 else [0.0] * len(mse)
+    return [
+        MseReport(mech, e, spec, n, m, m * float(n * n), se, trials, seed)
+        for (mech, e, spec, n, seed), m, se in zip(rows, mse, stderr)
+    ]
 
 
 def estimate_mse(
@@ -211,35 +238,47 @@ def estimate_mse(
     if isinstance(mechanism, str):
         mechanism = Mechanism(mechanism)
     sq = squared_errors(d, mechanism, eps, trials, seed)
-    return _mse_report(sq, mechanism, eps, len(d), seed, dataset_spec)
+    return _mse_reports(sq[None], [(mechanism, eps.epsilon, dataset_spec, len(d), seed)])[0]
 
 
 def sweep(config: ExperimentConfig) -> list[MseReport]:
     """Run the Cartesian product (mechanism, epsilon, dataset_spec) in that
     nesting order; deterministic given the config seed.  Each distinct spec
-    is built into a dataset once and shared by its cells.  Each report
-    equals ``estimate_mse`` on its cell with the cell's derived seed."""
+    is built into a dataset once and shared by its cells.  The cells of one
+    (mechanism, epsilon, bounds) share one plan and run as rows of one array,
+    in batches of at most _BATCH_TRIALS trials.  Each report equals
+    ``estimate_mse`` on its cell with the cell's derived seed."""
     cells = [
         (mech, e, spec)
         for mech in config.mechanisms
         for e in config.epsilons
         for spec in config.dataset_specs
     ]
-    datasets: dict[DatasetSpec, BoundedDataset] = {}
-    reports = []
+    groups: dict[tuple, list[int]] = {}
     for index, (mech, e, spec) in enumerate(cells):
-        try:
-            seed = _derived_seed(config.seed, index)
-            d = datasets.get(spec)
-            if d is None:
-                d = datasets[spec] = generate_dataset(spec)
-            eps = PrivacyBudget(e)
-            sq = _cell_squared_errors(d, mech, eps, trial_uniform_pairs(seed, config.trials))
-            reports.append(_mse_report(sq, mech, eps, len(d), seed, spec))
-        except Exception as exc:
-            raise RuntimeError(
-                f"sweep cell {index} failed (mechanism={mech}, epsilon={e}, spec={spec})"
-            ) from exc
+        groups.setdefault((mech, e, spec.bounds), []).append(index)
+    datasets: dict[DatasetSpec, BoundedDataset] = {}
+    reports: list[MseReport] = [None] * len(cells)
+    for (mech, e, bounds), indices in groups.items():
+        plan = mechanism_plan(mech, *bounds, PrivacyBudget(e))
+        for batch in _batches(indices, config.trials):
+            specs = [cells[i][2] for i in batch]
+            seeds = [_derived_seed(config.seed, i) for i in batch]
+            try:
+                for spec in specs:
+                    if spec not in datasets:
+                        datasets[spec] = generate_dataset(spec)
+                ds = [datasets[spec] for spec in specs]
+                sq = _squared_error_rows(plan, ds, seeds, config.trials)
+                # a cell reports its own epsilon: equal to the group's, in its own form
+                rows = [(*cells[i], len(d), seed) for i, d, seed in zip(batch, ds, seeds)]
+                for i, report in zip(batch, _mse_reports(sq, rows)):
+                    reports[i] = report
+            except Exception as exc:
+                raise RuntimeError(
+                    f"sweep cell {', '.join(map(str, batch))} failed"
+                    f" (mechanism={mech}, epsilon={e}, bounds={bounds})"
+                ) from exc
     return reports
 
 
@@ -256,22 +295,27 @@ def worst_case_over_family(
     For mean mechanisms the count estimate for member i is n * estimate and
     the error is measured against i; for GEOMETRIC_COUNT the count itself is
     released with two-sided geometric noise of decay exp(-eps).  Compare the
-    result against the 2/eps^2 benchmark.
+    result against the 2/eps^2 benchmark.  Member i draws its trials from
+    the derived seed number i - 1; the members share one plan and run as
+    rows of one array, each row reduced on its own.
     """
     check_count("k", k)
-    check_count("dataset size", n)  # trials are checked by trial_uniform_pairs
+    check_count("dataset size", n)
     check_uint64("seed", seed)
+    check_count("trials", trials)
     worst = -math.inf
     geometric = mechanism == GEOMETRIC_COUNT
     alpha = GeometricParams(math.exp(-eps.epsilon)).alpha if geometric else None
     plan = None if geometric else mechanism_plan(mechanism, 0.0, 1.0, eps)  # members lie in [0, 1]
-    for i in range(1, k + 1):
-        uniforms = trial_uniform_pairs(_derived_seed(seed, i - 1), trials)
+    for members in _batches(range(1, k + 1), trials):
+        uniforms = trial_uniform_pairs([_derived_seed(seed, i - 1) for i in members], trials)
         if geometric:
             err = two_sided_geometric_from_uniform(uniforms[0], alpha).astype(np.float64)
         else:  # member i holds i ones over n zeros: (s, n) = (i, n + i) exactly
-            err = n * _estimates(plan, float(i), float(n + i), uniforms) - i
-        worst = max(worst, float(np.sum(err * err)) / trials)
+            ones = np.array([float(i) for i in members])[:, None]
+            sizes = np.array([float(n + i) for i in members])[:, None]
+            err = n * _estimates(plan, ones, sizes, uniforms) - ones
+        worst = max(worst, *(np.sum(err * err, axis=1) / trials).tolist())
     return worst
 
 

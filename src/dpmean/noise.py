@@ -22,7 +22,9 @@ Philox is addressable by counter as well as by key (Salmon et al.,
 opens a stream at its block t, and block t is block t of one long draw from
 the stream's start.  ``trial_uniform_pairs(seed, trials)`` uses this to give
 the first two ``uniform_open()`` draws of a cursor at every counter
-0..trials-1 of stream ``(seed, 0)`` from one ``random_raw`` call.
+0..trials-1 of stream ``(seed, 0)`` from one ``random_raw`` call.  Given a
+sequence of seeds, it returns one such row per seed, for cells that are
+evaluated as rows of one array; each row is drawn from its own stream.
 """
 
 from __future__ import annotations
@@ -179,21 +181,32 @@ def two_sided_geometric_sample(cursor: Cursor, params: GeometricParams) -> int:
     return two_sided_geometric_from_uniform(cursor.uniform_open(), params.alpha)
 
 
-def trial_uniform_pairs(seed, trials: int) -> tuple[np.ndarray, np.ndarray]:
+def trial_uniform_pairs(seeds, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """The first two ``uniform_open()`` draws of ``Cursor(RandomStream(seed,
-    0), t)`` for t = 0..trials-1, as two float64 arrays.
+    0), t)`` for t = 0..trials-1, as two float64 arrays: of shape (trials,)
+    for one seed, or (len(seeds), trials) for a sequence of seeds, one
+    C-contiguous row per seed.
 
-    Block t of the stream holds trial t's words, so one ``random_raw`` call
-    draws them all; words 0 and 1 of each block become doubles as
-    ``Generator.random()`` makes them.  A trial whose block holds a zero
-    uniform (probability 2^-53 per word) is drawn by its own cursor instead,
-    which redraws exactly as ``uniform_open`` does.
+    Block t of a stream holds trial t's words, so one ``random_raw`` call
+    per row draws them all; words 0 and 1 of each block become doubles as
+    ``Generator.random()`` makes them.  The rows share only that conversion,
+    which is elementwise, so a row's values depend on no other row.  A trial
+    whose block holds a zero uniform (probability 2^-53 per word) is drawn
+    by its own cursor on its own row's seed instead, which redraws exactly
+    as ``uniform_open`` does.
     """
     check_count("trials", trials)
-    stream = RandomStream(seed, 0)
-    blocks = Cursor(stream)._bitgen.random_raw(4 * trials).reshape(trials, 4)
-    u0, u1 = ((blocks[:, j] >> _SHIFT_DOUBLE).astype(np.float64) * 2.0**-53 for j in (0, 1))
-    for t in np.flatnonzero((u0 == 0.0) | (u1 == 0.0)).tolist():
-        cursor = Cursor(stream, t)
-        u0[t], u1[t] = cursor.uniform_open(), cursor.uniform_open()
-    return u0, u1
+    single = np.ndim(seeds) == 0
+    streams = [RandomStream(seed, 0) for seed in ([seeds] if single else seeds)]
+    words = np.empty((2, len(streams), trials), dtype=np.uint64)
+    for r, stream in enumerate(streams):
+        raw = Cursor(stream)._bitgen.random_raw(4 * trials)
+        words[0, r], words[1, r] = raw[0::4], raw[1::4]
+    words >>= _SHIFT_DOUBLE
+    u = words.astype(np.float64)
+    u *= 2.0**-53
+    for k in np.flatnonzero((u[0] == 0.0) | (u[1] == 0.0)).tolist():
+        r, t = divmod(k, trials)
+        cursor = Cursor(streams[r], t)
+        u[:, r, t] = cursor.uniform_open(), cursor.uniform_open()
+    return (u[0, 0], u[1, 0]) if single else (u[0], u[1])

@@ -354,6 +354,17 @@ class TestReadValues:
             path.write_bytes(text.encode())
             assert _read_values(str(path)).tolist() == expected
 
+    @pytest.mark.parametrize("chunk", [*TINY_CHUNKS, cli._CHUNK])
+    def test_newline_ended_file_parses_no_tail(self, tmp_path, monkeypatch, chunk):
+        # each line reaches the array pass once; no blank tail block follows
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        lines, exact = [], cli._exact
+        monkeypatch.setattr(cli, "_exact", lambda buf, ends, lens: lines.append(len(ends)) or exact(buf, ends, lens))
+        path = tmp_path / "values.txt"
+        path.write_text("0.5\n0.25\n")
+        assert _read_values(str(path)).tolist() == [0.5, 0.25]
+        assert sum(lines) == 2
+
 
 class TestRejectedAcrossChunks:
     """A file rejected at any chunk size gets the message a whole-file read

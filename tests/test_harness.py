@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpmean import harness
 from dpmean.bounds import geometric_count_variance, mechanism_mse_bound
 from dpmean.harness import (
     CSV_HEADER,
@@ -48,6 +49,14 @@ FIG2C_SHA256 = {
 FAMILY_BOUNDS = [
     (0.0, 1.0), (-1.0, 1.0), (-2.86, 4.07), (-1e3, 1e-3), (0.1, 0.3), (-5.0, -2.0), (1e-6, 1e6),
 ]
+
+
+MIXED_SPECS = (
+    DatasetSpec(DatasetKind.TWO_POINT, 60, 0.3, (0.0, 1.0)),
+    DatasetSpec(DatasetKind.CONSTANT, 37, 2.5, (-3.0, 7.5)),
+    DatasetSpec(DatasetKind.TWO_POINT, 25, 0.9, (0.0, 1.0)),
+    DatasetSpec(DatasetKind.TWO_POINT, 60, -1.0, (-3.0, 7.5)),
+)
 
 
 def small_config(trials=50, seed=11):
@@ -134,6 +143,18 @@ class TestEstimateMse:
         report = estimate_mse(d, Mechanism.SHIFTED, EPS, 1, 5)
         assert report.stderr == 0.0
         assert report.mse >= 0.0
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 1000, 4097, 8193, 65537])
+    def test_row_reductions_equal_one_dimensional_ones(self, trials):
+        # numpy sums each contiguous row pairwise, as it sums a 1-D array
+        sq = np.random.default_rng(trials).lognormal(0.0, 3.0, (3, trials)) ** 2
+        rows = [(Mechanism.SHIFTED, 0.5, None, 10, seed) for seed in range(3)]
+        got = [(r.mse, r.stderr) for r in harness._mse_reports(sq, rows)]
+        expected = [
+            (float(np.sum(row)) / trials, float(np.std(row, ddof=1)) / math.sqrt(trials) if trials > 1 else 0.0)
+            for row in sq
+        ]
+        assert got == expected
 
     def test_workers_do_not_change_results(self):
         d = generate_dataset(DatasetSpec(DatasetKind.TWO_POINT, 100, 0.25, (0.0, 1.0)))
@@ -240,14 +261,17 @@ class TestSweep:
 
     def test_failing_cell_aborts_with_context(self, monkeypatch):
         boom = ValueError("boom")
+        rows = harness._squared_error_rows
 
-        def exploding(*args):
-            raise boom
+        def exploding(plan, *args):
+            if plan.mechanism is Mechanism.TRANSFORMED:
+                raise boom
+            return rows(plan, *args)
 
-        monkeypatch.setattr("dpmean.harness._cell_squared_errors", exploding)
+        monkeypatch.setattr(harness, "_squared_error_rows", exploding)
         specs = (DatasetSpec(DatasetKind.CONSTANT, 5, 0.5, (0.0, 1.0)),)
-        config = ExperimentConfig((Mechanism.SHIFTED,), (0.5,), specs, 3, 1)
-        with pytest.raises(RuntimeError, match="sweep cell 0") as info:
+        config = ExperimentConfig((Mechanism.SHIFTED, Mechanism.TRANSFORMED), (0.5,), specs, 3, 1)
+        with pytest.raises(RuntimeError, match="sweep cell 1 failed") as info:
             sweep(config)
         assert info.value.__cause__ is boom
 
@@ -291,6 +315,25 @@ class TestSweep:
             d = generate_dataset(spec)
             seed = _derived_seed(config.seed, index)
             assert report == estimate_mse(d, mech, PrivacyBudget(e), trials, seed, dataset_spec=spec)
+
+    @pytest.mark.parametrize("trials", [1, 7, 4097])
+    def test_mixed_bounds_rows_equal_per_cell_estimate_mse(self, trials):
+        # two bounds pairs interleaved, a constant spec and two sizes: the
+        # cells of one (mechanism, epsilon, bounds) share a batch
+        config = ExperimentConfig(tuple(Mechanism), (0.5, 2.0), MIXED_SPECS, trials, 2**64 - 1)
+        cells = [(m, e, s) for m in config.mechanisms for e in config.epsilons for s in config.dataset_specs]
+        for index, ((mech, e, spec), report) in enumerate(zip(cells, sweep(config))):
+            seed = _derived_seed(config.seed, index)
+            d = generate_dataset(spec)
+            assert report == estimate_mse(d, mech, PrivacyBudget(e), trials, seed, dataset_spec=spec)
+
+    @pytest.mark.parametrize("cap", [7, 2 * 7, 4 * 7 + 3])
+    def test_split_batches_change_no_report(self, monkeypatch, cap):
+        # fig2c groups its cells by six: in batches of 1, of 2, of 4 and 2
+        config = preset_config("fig2c", 5, trials=7)
+        whole = sweep(config)
+        monkeypatch.setattr(harness, "_BATCH_TRIALS", cap)
+        assert sweep(config) == whole
 
     def test_fig2c_output_pinned(self, tmp_path, capsys):
         out = tmp_path / "fig2c.csv"
@@ -397,6 +440,12 @@ class TestWorstCaseFamily:
         for mech in (GEOMETRIC_COUNT, Mechanism.INDEPENDENT):
             expected = self.scalar_worst(mech, 300, k, trials, 29)
             assert worst_case_over_family(mech, EPS, 300, k, trials, 29) == expected
+
+    @pytest.mark.parametrize("mech", [GEOMETRIC_COUNT, *Mechanism])
+    def test_split_batches_change_no_worst_case(self, monkeypatch, mech):
+        whole = worst_case_over_family(mech, EPS, 300, 5, 40, 17)
+        monkeypatch.setattr(harness, "_BATCH_TRIALS", 2 * 40)
+        assert worst_case_over_family(mech, EPS, 300, 5, 40, 17) == whole
 
     def test_k_validated(self):
         with pytest.raises(ValueError):

@@ -380,6 +380,36 @@ class TestPhiloxKernel:
         assert (u0[target], u1[target]) == (gen.random(), gen.random())
         assert np.array_equal(np.delete(u0, target), np.delete(clean[1][0], target))
 
+    def test_zero_word_in_one_row_of_a_batch_call_moves_only_that_row(self, monkeypatch):
+        seeds, hit_seed, target = [31, 32, 33], 32, 17
+        clean = trial_uniform_pairs(seeds, 64)
+        self.force_zero_word(monkeypatch, hit_seed, target)
+        u0, u1 = trial_uniform_pairs(seeds, 64)
+        moved = np.zeros((3, 64), dtype=bool)
+        moved[1, target] = True
+        assert np.array_equal(u0[~moved], clean[0][~moved]) and np.array_equal(u1[~moved], clean[1][~moved])
+        gen = self.numpy_trial(hit_seed, target)
+        gen.random()  # the zero word
+        assert (u0[1, target], u1[1, target]) == (gen.random(), gen.random())
+
+    @pytest.mark.parametrize("trials", [1, 7, 4097])
+    def test_rows_equal_per_seed_calls(self, trials):
+        seeds = [0, 2**63, 2**64 - 1]
+        u0, u1 = trial_uniform_pairs(seeds, trials)
+        assert u0.shape == u1.shape == (3, trials)
+        for row, seed in enumerate(seeds):
+            a, b = trial_uniform_pairs(seed, trials)
+            assert u0[row].flags.c_contiguous and u1[row].flags.c_contiguous
+            assert np.array_equal(u0[row], a) and np.array_equal(u1[row], b)
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, True])
+    def test_bad_seed_in_a_sequence_raises_the_scalar_error(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            trial_uniform_pairs(bad, 3)
+        with pytest.raises(ValueError) as batch:
+            trial_uniform_pairs([5, bad], 3)
+        assert str(batch.value) == str(scalar.value)
+
     def test_max_seed_in_an_array_raises_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

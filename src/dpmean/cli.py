@@ -126,6 +126,33 @@ def _exact(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray) -> tuple[np.ndar
     return exact, np.where(dots == 1, (s - f) // 10 + f, s) / p
 
 
+def _fixed(block: str, buf: np.ndarray) -> np.ndarray | None:
+    """The values of ``block``, whose bytes are ``buf``, if all its lines
+    are exact and of its first line's length with its dot column (or none);
+    None for any other block."""
+    width = block.find("\n") + 1  # a line and its newline
+    n, rest = divmod(len(buf), width)
+    dot = block.find(".", 0, width)
+    if rest or not 1 <= width - 1 - (dot >= 0) <= 14:
+        return None
+    rows = buf.reshape(n, width)
+    digits = rows - np.uint8(48)
+    # With a newline ending every row, the rows are the lines; with the dot
+    # column all dots and no other byte but a digit, every line is exact.
+    if not (
+        (rows[:, -1] == 10).all()
+        and (dot < 0 or (rows[:, dot] == 46).all())
+        and np.count_nonzero(digits > 9) == n * (1 + (dot >= 0))
+    ):
+        return None
+    weights = np.zeros(width)  # the newline and the dot weigh 0
+    columns = [j for j in range(width - 1) if j != dot]
+    weights[columns] = _WEIGHTS[_ROW - len(columns):]
+    # Each M is an integer below 10^14 < 2^53, exact in any summation order;
+    # einsum casts the digits a buffer at a time, with no float64 copy.
+    return np.einsum("ij,j->i", digits, weights) / _POWERS[width - 2 - dot if dot >= 0 else 0]
+
+
 def _parse(block: str) -> np.ndarray:
     """``float`` of each stripped non-blank line of ``block``, whose every
     line ends in a newline, in order, as float64."""
@@ -137,6 +164,9 @@ def _parse(block: str) -> np.ndarray:
     lines = head.count("\n")
     if block.isascii() and len(head) <= _ROW * lines and 8 * len(head.encode().translate(None, b"0123456789.\n")) <= lines:
         buf = np.frombuffer((" " * _ROW + block).encode("ascii"), dtype=np.uint8)
+        values = _fixed(block, buf[_ROW:])
+        if values is not None:
+            return values
         ends = np.flatnonzero(buf == 10)
         lens = np.diff(ends, prepend=_ROW - 1) - 1
         exact, values = _exact(buf, ends, lens)
@@ -160,8 +190,11 @@ def _read_values(path: str) -> np.ndarray:
     sign, exponent, ``_`` or padding, takes an exact path in array passes.
     It is an integer M < 10^14 over 10^k, k <= 14, both exact doubles, so the
     one correctly rounded division M / 10^k is ``float``'s own result, bit
-    for bit (Clinger's fast path).  Every other line, and every line of a
-    chunk with a non-ASCII character, goes through ``float`` in file order.
+    for bit (Clinger's fast path).  A chunk whose lines share one length
+    and one dot column (or have none) is converted as a reshape of its bytes,
+    with one power 10^k; the syntax accepted and the bits are the same.
+    Every other line, and every line of a chunk with a non-ASCII character,
+    goes through ``float`` in file order.
     So the syntax accepted, the line numbers and the messages are those of
     ``float`` on each line.  The array pass pays only where nearly every line
     is exact, so a chunk takes it only if at least 7 lines in 8 are exact;

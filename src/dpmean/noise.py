@@ -188,19 +188,25 @@ def trial_uniform_pairs(seeds, trials: int) -> tuple[np.ndarray, np.ndarray]:
     C-contiguous row per seed.
 
     Block t of a stream holds trial t's words, so one ``random_raw`` call
-    per row draws them all; words 0 and 1 of each block become doubles as
-    ``Generator.random()`` makes them.  The rows share only that conversion,
-    which is elementwise, so a row's values depend on no other row.  A trial
-    whose block holds a zero uniform (probability 2^-53 per word) is drawn
-    by its own cursor on its own row's seed instead, which redraws exactly
-    as ``uniform_open`` does.
+    per row draws them all; one cursor serves every row, moved to the row's
+    stream by ``jump_to``, which skips the OS-entropy seeding that numpy
+    gives each new Philox before its key.  Words 0 and 1 of each block
+    become doubles as ``Generator.random()`` makes them.  The rows share
+    only that conversion, which is elementwise, so a row's values depend on
+    no other row.  A trial whose block holds a zero uniform (probability
+    2^-53 per word) is drawn by its own cursor on its own row's seed
+    instead, which redraws exactly as ``uniform_open`` does.
     """
     check_count("trials", trials)
     single = np.ndim(seeds) == 0
     streams = [RandomStream(seed, 0) for seed in ([seeds] if single else seeds)]
     words = np.empty((2, len(streams), trials), dtype=np.uint64)
     for r, stream in enumerate(streams):
-        raw = Cursor(stream)._bitgen.random_raw(4 * trials)
+        if r:
+            cursor.jump_to(stream)
+        else:
+            cursor = Cursor(stream)
+        raw = cursor._bitgen.random_raw(4 * trials)
         words[0, r], words[1, r] = raw[0::4], raw[1::4]
     words >>= _SHIFT_DOUBLE
     u = words.astype(np.float64)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dpmean import cli
@@ -240,6 +240,36 @@ NUMBERED_LINES = st.lists(st.tuples(LINE, ENDING), max_size=30).filter(
 TINY_CHUNKS = [1, 2, 3, 7]  # characters per read, so lines and \r\n pairs straddle reads
 
 
+@st.composite
+def fixed_width_lines(draw):
+    """Lines of one width: 1-15 digits each, leading zeros kept, the dot in
+    one column of every line or in none."""
+    digits = draw(st.integers(1, 15))
+    dot = draw(st.integers(-1, digits))
+    lines = [f"{m:0{digits}d}" for m in draw(st.lists(st.integers(0, 10**digits - 1), min_size=1, max_size=40))]
+    return lines if dot < 0 else [line[:dot] + "." + line[dot:] for line in lines]
+
+
+def float_outcome(lines):
+    """The values ``float`` gives the lines, as bytes, or the message that
+    rejects the first line it refuses."""
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                values.append(float(line.strip()))
+            except ValueError:
+                return f"line {lineno}: not a decimal number: {line.strip()!r}"
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def read_outcome(path):
+    try:
+        return _read_values(str(path)).tobytes()
+    except cli.ValidationError as exc:
+        return str(exc)
+
+
 class TestReadValues:
     @staticmethod
     def assert_matches_line_by_line_float(tmp_path, numbered_lines):
@@ -356,14 +386,75 @@ class TestReadValues:
 
     @pytest.mark.parametrize("chunk", [*TINY_CHUNKS, cli._CHUNK])
     def test_newline_ended_file_parses_no_tail(self, tmp_path, monkeypatch, chunk):
-        # each line reaches the array pass once; no blank tail block follows
+        # each line is converted once, by one of the array steps; no blank
+        # tail block follows
         monkeypatch.setattr(cli, "_CHUNK", chunk)
-        lines, exact = [], cli._exact
+        lines, exact, fixed = [], cli._exact, cli._fixed
+
+        def counted_fixed(block, buf):
+            values = fixed(block, buf)
+            lines.append(0 if values is None else len(values))
+            return values
+
         monkeypatch.setattr(cli, "_exact", lambda buf, ends, lens: lines.append(len(ends)) or exact(buf, ends, lens))
+        monkeypatch.setattr(cli, "_fixed", counted_fixed)
         path = tmp_path / "values.txt"
         path.write_text("0.5\n0.25\n")
         assert _read_values(str(path)).tolist() == [0.5, 0.25]
         assert sum(lines) == 2
+
+
+class TestFixedWidth:
+    """A block whose lines share one length and one dot column converts as
+    a reshape of its bytes; any other block falls back to the general path."""
+
+    @pytest.mark.parametrize("chunk", [*TINY_CHUNKS, cli._CHUNK])
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=fixed_width_lines())
+    @example(lines=[".5", ".0", ".9"])
+    @example(lines=["5.", "0.", "9."])
+    @example(lines=["007", "100", "000"])
+    @example(lines=["99999999999999", "00000000000001"])  # 14 digits
+    @example(lines=["9999999.9999999", "0000000.0000001"])
+    @example(lines=["999999999999999", "000000000000001"])  # 15 digits
+    def test_blocks_of_one_width_match_float(self, tmp_path, monkeypatch, chunk, lines):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        TestReadValues.assert_matches_line_by_line_float(tmp_path, [(line, "\n") for line in lines])
+
+    BASE = ["0.123456789"] * 20
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            BASE[:10] + ["0.1234567891"] + BASE[10:],
+            BASE[:10] + ["0.12345678"] + BASE[10:],
+            BASE[:10] + ["01.23456789"] + BASE[10:],
+            BASE[:10] + ["0.1234.6789"] + BASE[10:],
+            BASE[:10] + [" .123456789"] + BASE[10:],
+            BASE[:10] + ["+.123456789"] + BASE[10:],
+            BASE[:10] + ["0.1234\x7f6789"] + BASE[10:],
+            ["0.12345678901234"] * 20,
+            [""] + BASE,
+        ],
+        ids=["longer", "shorter", "dot-moved", "second-dot", "space", "plus", "del", "15-digits", "blank-first"],
+    )
+    def test_near_misses_fall_back(self, tmp_path, lines):
+        block = "".join(line + "\n" for line in lines)
+        assert cli._fixed(block, np.frombuffer(block.encode(), dtype=np.uint8)) is None
+        path = tmp_path / "values.txt"
+        path.write_text(block)
+        assert read_outcome(path) == float_outcome(lines)
+
+    def test_a_savetxt_file_calls_neither_float_nor_the_general_pass(self, tmp_path, monkeypatch):
+        # three chunks at the default size, each of whole %.9f lines
+        path = tmp_path / "values.txt"
+        np.savetxt(path, np.random.default_rng(3).uniform(0, 1, 30_000), fmt="%.9f")
+        expected = [float(line) for line in path.read_text().split()]
+        calls = []
+        monkeypatch.setattr(cli, "float", lambda text: calls.append(text) or float(text), raising=False)
+        monkeypatch.setattr(cli, "_exact", lambda *args: calls.append(args))
+        assert _read_values(str(path)).tolist() == expected
+        assert calls == []
 
 
 class TestRejectedAcrossChunks:
@@ -387,6 +478,24 @@ class TestRejectedAcrossChunks:
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         path = tmp_path / "values.txt"
         path.write_bytes(text.encode())
+        code, out, err = run(self.ARGV + ["--input", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("chunk", [*TINY_CHUNKS, cli._CHUNK])
+    @pytest.mark.parametrize(
+        "bad, expected",
+        [
+            ("0.12345z789", "line 12: not a decimal number: '0.12345z789'"),
+            ("zz", "line 12: not a decimal number: 'zz'"),
+            ("1.500000000", "line 12: value 1.5 is outside the declared bounds [0.0, 1.0]"),
+        ],
+        ids=["unparseable", "unparseable-other-width", "out-of-bounds"],
+    )
+    def test_bad_line_in_a_fixed_width_chunk(self, tmp_path, monkeypatch, capsys, chunk, bad, expected):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        path = tmp_path / "values.txt"
+        path.write_text("0.123456789\n" * 11 + bad + "\n" + "0.987654321\n" * 20)
         code, out, err = run(self.ARGV + ["--input", str(path)], capsys)
         assert code == 2 and out == ""
         assert err == f"error: {expected}\n"

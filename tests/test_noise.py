@@ -380,10 +380,33 @@ class TestPhiloxKernel:
         assert (u0[target], u1[target]) == (gen.random(), gen.random())
         assert np.array_equal(np.delete(u0, target), np.delete(clean[1][0], target))
 
+    @staticmethod
+    def force_zero_word_by_key(monkeypatch, seed, target):
+        """As ``force_zero_word``, but the batch draw's zero is put in by
+        the bit generator itself, whenever it is keyed (seed, 0) at counter
+        0: a cursor moved to that stream by ``jump_to`` reads it too."""
+        real_init = Cursor.__init__
+
+        class ZeroedWord(np.random.Philox):
+            def random_raw(self, size=None, output=True):
+                state = self.state["state"]
+                words = super().random_raw(size, output)
+                if state["key"].tolist() == [seed, 0] and not state["counter"].any():
+                    words[4 * target] = 0
+                return words
+
+        def init(self, stream, counter=0):
+            real_init(self, stream, counter)
+            if stream == RandomStream(seed, 0) and counter == target:
+                self._gen = _FirstDrawZero(self._gen)
+
+        monkeypatch.setattr(np.random, "Philox", ZeroedWord)
+        monkeypatch.setattr(Cursor, "__init__", init)
+
     def test_zero_word_in_one_row_of_a_batch_call_moves_only_that_row(self, monkeypatch):
         seeds, hit_seed, target = [31, 32, 33], 32, 17
         clean = trial_uniform_pairs(seeds, 64)
-        self.force_zero_word(monkeypatch, hit_seed, target)
+        self.force_zero_word_by_key(monkeypatch, hit_seed, target)
         u0, u1 = trial_uniform_pairs(seeds, 64)
         moved = np.zeros((3, 64), dtype=bool)
         moved[1, target] = True

@@ -12,12 +12,13 @@ Usage:
 """
 
 import argparse
+import math
 import sys
 
 from dpmean.bounds import geometric_count_variance
 from dpmean.harness import GEOMETRIC_COUNT, preset_family_k, worst_case_over_family
 from dpmean.mechanisms import Mechanism, PrivacyBudget
-from dpmean.noise import check_uint64
+from dpmean.noise import GeometricParams, check_uint64
 
 
 def main() -> int:
@@ -33,6 +34,8 @@ def main() -> int:
     try:
         check_uint64("--seed", args.seed)
         budgets = [PrivacyBudget(e) for e in args.epsilons]
+        for e in args.epsilons:  # exp(-eps) must stay below 1.0 for the geometric count
+            GeometricParams(math.exp(-e))
     except ValueError as exc:
         parser.error(str(exc))
 

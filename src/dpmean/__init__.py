@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 
 from .bounds import (
     ClippedRatioTerms,
-    NeighborModel,
-    RiskReport,
     add_remove_minmax_leading,
     clipped_ratio_mse_bound,
     clipped_ratio_terms,
@@ -15,8 +13,6 @@ from .bounds import (
     geometric_count_variance,
     lower_bound_leading,
     mechanism_mse_bound,
-    minmax_risk,
-    shifted_mse_bound_leading,
     swap_minmax_leading,
     transformed_mse_bound_leading,
 )

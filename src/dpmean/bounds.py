@@ -4,13 +4,11 @@ and the clipped-ratio decomposition behind them.
 All leading terms are asymptotic constants: they hold up to a factor
 1 +- o(1) where the vanishing term is taken as dataset size grows, the
 budget shrinks, and their product grows.  Nothing here folds an estimated
-remainder into the numbers; reports carry an explicit ``asymptotic`` flag
-instead.
+remainder into the numbers.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -23,21 +21,6 @@ from .mechanisms import (
     true_mean,
 )
 from .noise import check_count
-
-
-class NeighborModel(str, enum.Enum):
-    SWAP = "swap"
-    ADD_REMOVE = "add_remove"
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """A worst-case normalized-MSE figure (units of |D|^2 * MSE)."""
-
-    model: NeighborModel
-    leading_term: float
-    formula_id: str
-    asymptotic: bool = True
 
 
 def minmax_leading(eps: float, lower: float, upper: float) -> float:
@@ -58,12 +41,6 @@ def minmax_leading(eps: float, lower: float, upper: float) -> float:
 swap_minmax_leading = add_remove_minmax_leading = lower_bound_leading = minmax_leading
 
 
-def minmax_risk(model: NeighborModel, eps: float, lower: float, upper: float) -> RiskReport:
-    if model is NeighborModel.SWAP:
-        return RiskReport(model, swap_minmax_leading(eps, lower, upper), "minmax-swap-leading")
-    return RiskReport(model, add_remove_minmax_leading(eps, lower, upper), "minmax-add-remove-leading")
-
-
 def shifted_mse_bound_from_stats(
     n: int, mean: float, eps: float, lower: float, upper: float
 ) -> float:
@@ -80,13 +57,11 @@ def transformed_mse_bound_from_stats(
     PrivacyBudget(eps)
     check_bounds(lower, upper)
     check_count("dataset size", n)
+    if not (lower <= mean <= upper):  # NaN lies in no bounds
+        raise ValueError(f"mean {mean} outside bounds [{lower}, {upper}]")
     w = upper - lower
     m = (lower + upper) / 2.0
     return (w**2 + 4.0 * (mean - m) ** 2) / (n**2 * eps**2)
-
-
-def shifted_mse_bound_leading(d: BoundedDataset, eps: PrivacyBudget) -> float:
-    return shifted_mse_bound_from_stats(len(d), true_mean(d), eps.epsilon, d.lower, d.upper)
 
 
 def transformed_mse_bound_leading(d: BoundedDataset, eps: PrivacyBudget) -> float:

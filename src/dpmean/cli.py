@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    NeighborModel,
     minmax_leading,
     shifted_mse_bound_from_stats,
     transformed_mse_bound_from_stats,
@@ -39,8 +38,8 @@ from .harness import (
     sweep,
     write_metadata,
 )
-from .mechanisms import BoundedDataset, Mechanism, PrivacyBudget, check_bounds, run_mechanism
-from .noise import RandomStream
+from .mechanisms import BoundedDataset, Mechanism, PrivacyBudget, mechanism_plan, run_mechanism
+from .noise import LaplaceParams, RandomStream
 
 POLYGON_CSV_HEADER = "polygon_id,vertex_index,x,y"
 
@@ -228,8 +227,11 @@ def _read_values(path: str) -> np.ndarray:
 def cmd_estimate(args: argparse.Namespace) -> int:
     # Validate the arguments before reading what may be a large file.
     try:
-        check_bounds(args.lower, args.upper)
         eps = PrivacyBudget(args.epsilon)
+        mechanism = Mechanism(args.mechanism)
+        # The plan checks the bounds; its noise scales must be valid Laplace scales.
+        for scale in mechanism_plan(mechanism, args.lower, args.upper, eps).scales:
+            LaplaceParams(scale)
         stream = RandomStream(args.seed if args.seed is not None else _entropy_seed(), 0)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
@@ -247,7 +249,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             ) from exc
         raise ValidationError(str(exc)) from exc
     del values  # d holds its own copy
-    mechanism = Mechanism(args.mechanism)
     # Exactly one mechanism invocation: no retries, or the guarantee degrades.
     estimate = run_mechanism(d, eps, mechanism, stream)
     # No seed in the record: whoever knows it can subtract the noise.
@@ -265,16 +266,23 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    eps, lo, hi = args.epsilon, args.lower, args.upper
+    eps, lo, hi, n = args.epsilon, args.lower, args.upper, args.n
+    if (n is None) != (args.mean is None):
+        raise ValidationError("--n and --mean go together: pass both or neither")
     try:
         leading = minmax_leading(eps, lo, hi)
+        if n is not None:
+            b2 = shifted_mse_bound_from_stats(n, args.mean, eps, lo, hi)
+            b3 = transformed_mse_bound_from_stats(n, args.mean, eps, lo, hi)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    except ArithmeticError as exc:  # eps**2 underflows to 0, or a square overflows
+        raise ValidationError(f"epsilon={eps} on [{lo}, {hi}] is out of float range: {exc}") from exc
     rows = [
-        ("swap min-max leading", NeighborModel.SWAP.value, leading),
-        ("add-remove upper (transformed mech.)", NeighborModel.ADD_REMOVE.value, leading),
-        ("add-remove lower bound", NeighborModel.ADD_REMOVE.value, leading),
-        ("shifted mech. worst case", NeighborModel.ADD_REMOVE.value, 2.0 * leading),
+        ("swap min-max leading", "swap", leading),
+        ("add-remove upper (transformed mech.)", "add_remove", leading),
+        ("add-remove lower bound", "add_remove", leading),
+        ("shifted mech. worst case", "add_remove", 2.0 * leading),
     ]
     print(f"normalized MSE leading terms for epsilon={eps}, bounds=[{lo}, {hi}]")
     print("(asymptotic constants; true values carry a 1 +/- o(1) factor)")
@@ -282,17 +290,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         print(f"  {label:<38} {model:<11} {_fmt(value)}")
     print("  (the first three rows coincide: each is 2 (upper - lower)^2 / epsilon^2)")
     print(f"  {'shifted / transformed MSE ratio':<38} {'':<11} {_fmt(2.0)}")
-    if args.n is not None and args.mean is not None:
-        try:
-            b2 = shifted_mse_bound_from_stats(args.n, args.mean, eps, lo, hi)
-            b3 = transformed_mse_bound_from_stats(args.n, args.mean, eps, lo, hi)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        print(f"per-dataset MSE bounds at n={args.n}, mean={args.mean}")
+    if n is not None:
+        print(f"per-dataset MSE bounds at n={n}, mean={args.mean}")
         print(f"  {'shifted mechanism':<38} {'mse':<11} {_fmt(b2)}")
         print(f"  {'transformed mechanism':<38} {'mse':<11} {_fmt(b3)}")
-        print(f"  {'normalized (x n^2), shifted':<38} {'':<11} {_fmt(b2 * args.n**2)}")
-        print(f"  {'normalized (x n^2), transformed':<38} {'':<11} {_fmt(b3 * args.n**2)}")
+        print(f"  {'normalized (x n^2), shifted':<38} {'':<11} {_fmt(b2 * n**2)}")
+        print(f"  {'normalized (x n^2), transformed':<38} {'':<11} {_fmt(b3 * n**2)}")
     return 0
 
 

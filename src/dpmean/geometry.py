@@ -28,6 +28,8 @@ from .mechanisms import (  # noqa: F401  (re-exports: mechanisms owns coordinate
     l1_sensitivity_under,
 )
 
+_TOL = 1e-9  # a point this far outside an edge, in scaled cross-product units, is inside
+
 
 @dataclass(frozen=True)
 class BallPolygon:
@@ -46,9 +48,9 @@ class BallPolygon:
             if nx != -x or ny != -y:
                 raise ValueError("polygon is not centrally symmetric")
 
-    def contains(self, point: tuple[float, float], tol: float = 1e-9) -> bool:
+    def contains(self, point: tuple[float, float]) -> bool:
         """Half-plane test for a counterclockwise convex polygon; points on
-        the boundary count as inside (up to ``tol`` in cross-product units)."""
+        the boundary count as inside (up to ``_TOL``)."""
         px, py = point
         verts = self.vertices
         scale = max(1.0, max(abs(c) for v in verts for c in v))
@@ -56,7 +58,7 @@ class BallPolygon:
             ax, ay = verts[i]
             bx, by = verts[(i + 1) % len(verts)]
             cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-            if cross < -tol * scale:
+            if cross < -_TOL * scale:
                 return False
         return True
 
@@ -100,4 +102,4 @@ def transform_procedure_estimate(
     """The estimate of the plan with G = t and D the identity, so the noise
     and ``noisy_aggregates`` are in t's coordinates; for an eps-DP release
     the noise scales are the plan's, ``l1_sensitivity_under(t, UNIT_SEGMENT) / eps``."""
-    return MechanismPlan(None, t, (1.0, 1.0), d.lower, d.upper, eps).mean_estimate(d, noise)
+    return MechanismPlan(t, (1.0, 1.0), d.lower, d.upper, eps).mean_estimate(d, noise)

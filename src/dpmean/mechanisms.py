@@ -67,9 +67,11 @@ class PrivacyBudget:
 
 
 def check_bounds(lower: float, upper: float) -> None:
-    """Raise ValueError unless [lower, upper] is a finite, non-empty interval."""
-    if not (lower < upper and math.isfinite(lower) and math.isfinite(upper)):
-        raise ValueError(f"bounds must be finite with lower < upper, got [{lower}, {upper}]")
+    """Raise ValueError unless [lower, upper] is a non-empty interval of finite width."""
+    if not (lower < upper and math.isfinite(upper - lower)):
+        raise ValueError(
+            f"bounds must be finite with lower < upper and a finite width, got [{lower}, {upper}]"
+        )
 
 
 #: Terms per block of ``BoundedDataset.scaled_total``, and the mask that
@@ -151,8 +153,7 @@ class BoundedDataset:
         correctly rounded total, which is what fsum of the terms returns.
         Zero terms and zero bins add nothing, so both drop them.  The terms
         lie in [0, 1] (a value -0.0 at lower = 0.0 gives -0.0, whose sign
-        bit the exponent mask drops), so no bin can overflow; a width that
-        overflows to inf makes NaN terms, and both sums are then NaN.
+        bit the exponent mask drops), so no bin can overflow.
         """
         partials = []
         for start in range(0, len(self.values), _SUM_BLOCK):
@@ -275,7 +276,6 @@ class NoisePair:
 @dataclass(frozen=True)
 class MeanEstimate:
     value: float
-    mechanism: Mechanism | None
     noisy_aggregates: AggregateVector
 
 
@@ -319,7 +319,6 @@ class MechanismPlan:
     budget, with what it implies: the released transform T = D G, its
     inverse, the L1 radius of G and the Laplace scales D * radius / eps."""
 
-    mechanism: Mechanism | None
     g: Transform2x2
     diag: tuple[float, float]
     lower: float
@@ -355,7 +354,7 @@ class MechanismPlan:
         if (d.lower, d.upper) != (self.lower, self.upper):
             raise ValueError(f"dataset bounds differ from the plan's [{self.lower}, {self.upper}]")
         first, second, value = self.estimate(d.scaled_total, float(len(d)), noise.za, noise.zb)
-        return MeanEstimate(float(value), self.mechanism, AggregateVector(float(first), float(second)))
+        return MeanEstimate(float(value), AggregateVector(float(first), float(second)))
 
 
 def mechanism_plan(
@@ -371,7 +370,7 @@ def mechanism_plan(
         g, diag = CENTERING_TRANSFORM, (upper - lower, 2.0)
     else:
         g, diag = COMPLEMENT_TRANSFORM, (1.0, 1.0)
-    return MechanismPlan(mechanism, g, diag, lower, upper, eps)
+    return MechanismPlan(g, diag, lower, upper, eps)
 
 
 def estimate_independent(d: BoundedDataset, eps: PrivacyBudget, noise: NoisePair) -> MeanEstimate:

@@ -20,11 +20,11 @@ scalar draw and an array draw from the same uniform are bit-identical.
 Philox is addressable by counter as well as by key (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11): ``Cursor(stream, t)``
 opens a stream at its block t, and block t is block t of one long draw from
-the stream's start.  ``trial_uniform_pairs(seed, trials)`` uses this to give
-the first two ``uniform_open()`` draws of a cursor at every counter
-0..trials-1 of stream ``(seed, 0)`` from one ``random_raw`` call.  Given a
-sequence of seeds, it returns one such row per seed, for cells that are
-evaluated as rows of one array; each row is drawn from its own stream.
+the stream's start.  ``trial_uniform_pairs(seeds, trials)`` uses this to
+give, for each seed, the first two ``uniform_open()`` draws of a cursor at
+every counter 0..trials-1 of stream ``(seed, 0)`` from one ``random_raw``
+call: one row per seed, for cells that are evaluated as rows of one array;
+each row is drawn from its own stream.
 """
 
 from __future__ import annotations
@@ -183,9 +183,9 @@ def two_sided_geometric_sample(cursor: Cursor, params: GeometricParams) -> int:
 
 def trial_uniform_pairs(seeds, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """The first two ``uniform_open()`` draws of ``Cursor(RandomStream(seed,
-    0), t)`` for t = 0..trials-1, as two float64 arrays: of shape (trials,)
-    for one seed, or (len(seeds), trials) for a sequence of seeds, one
-    C-contiguous row per seed.
+    0), t)`` for t = 0..trials-1 and each of the sequence ``seeds``, as two
+    float64 arrays of shape (len(seeds), trials), one C-contiguous row per
+    seed.
 
     Block t of a stream holds trial t's words, so one ``random_raw`` call
     per row draws them all; one cursor serves every row, moved to the row's
@@ -198,8 +198,7 @@ def trial_uniform_pairs(seeds, trials: int) -> tuple[np.ndarray, np.ndarray]:
     instead, which redraws exactly as ``uniform_open`` does.
     """
     check_count("trials", trials)
-    single = np.ndim(seeds) == 0
-    streams = [RandomStream(seed, 0) for seed in ([seeds] if single else seeds)]
+    streams = [RandomStream(seed, 0) for seed in seeds]
     words = np.empty((2, len(streams), trials), dtype=np.uint64)
     for r, stream in enumerate(streams):
         if r:
@@ -215,4 +214,4 @@ def trial_uniform_pairs(seeds, trials: int) -> tuple[np.ndarray, np.ndarray]:
         r, t = divmod(k, trials)
         cursor = Cursor(streams[r], t)
         u[:, r, t] = cursor.uniform_open(), cursor.uniform_open()
-    return (u[0, 0], u[1, 0]) if single else (u[0], u[1])
+    return u[0], u[1]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dpmean.bounds import (
     ClippedRatioTerms,
-    NeighborModel,
     add_remove_minmax_leading,
     clipped_ratio_mse_bound,
     clipped_ratio_terms,
@@ -16,9 +15,7 @@ from dpmean.bounds import (
     geometric_count_variance,
     lower_bound_leading,
     mechanism_mse_bound,
-    minmax_risk,
     shifted_mse_bound_from_stats,
-    shifted_mse_bound_leading,
     swap_minmax_leading,
     transformed_mse_bound_from_stats,
     transformed_mse_bound_leading,
@@ -80,12 +77,6 @@ class TestMinMaxLeading:
         with pytest.raises(ValueError):
             add_remove_minmax_leading(0.5, 1.0, 1.0)
 
-    def test_risk_report(self):
-        report = minmax_risk(NeighborModel.ADD_REMOVE, 0.5, 0.0, 1.0)
-        assert report.leading_term == 8.0
-        assert report.asymptotic is True
-        assert report.model is NeighborModel.ADD_REMOVE
-
 
 class TestPerDatasetBounds:
     def test_centered_values(self):
@@ -128,9 +119,6 @@ class TestPerDatasetBounds:
     def test_dataset_interface(self):
         d = BoundedDataset((0.2, 0.4, 0.6), 0.0, 1.0)
         eps = PrivacyBudget(0.5)
-        assert shifted_mse_bound_leading(d, eps) == pytest.approx(
-            shifted_mse_bound_from_stats(3, 0.4, 0.5, 0.0, 1.0), rel=1e-12
-        )
         assert transformed_mse_bound_leading(d, eps) == pytest.approx(
             transformed_mse_bound_from_stats(3, 0.4, 0.5, 0.0, 1.0), rel=1e-12
         )
@@ -140,6 +128,12 @@ class TestPerDatasetBounds:
         for bound in (transformed_mse_bound_from_stats, shifted_mse_bound_from_stats):
             with pytest.raises(ValueError, match="dataset size must be an integer >= 1"):
                 bound(n, 0.5, 0.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize("mean", [-0.5, 5.0, math.nan, math.inf])
+    def test_mean_must_lie_in_bounds(self, mean):
+        for bound in (transformed_mse_bound_from_stats, shifted_mse_bound_from_stats):
+            with pytest.raises(ValueError, match="outside bounds"):
+                bound(1000, mean, 0.5, 0.0, 1.0)
 
 
 class TestGeometricCountVariance:

@@ -158,10 +158,13 @@ class TestEstimateValidation:
     """Argument checks come before the input is read, and rejected inputs
     name the offending line counted in \\n-separated lines."""
 
-    @pytest.mark.parametrize("lower, upper", [("nan", "1"), ("1", "0"), ("0", "inf")])
+    # -1e308 and 1e308 are finite, but their difference is not: the estimate was NaN
+    @pytest.mark.parametrize(
+        "lower, upper", [("nan", "1"), ("1", "0"), ("0", "inf"), ("-1e308", "1e308")]
+    )
     def test_bad_bounds_rejected_before_reading(self, data_file, lower, upper, capsys):
         code, out, err = run(
-            ESTIMATE_HEAD + ["--input", str(data_file), "--lower", lower, "--upper", upper,
+            ESTIMATE_HEAD + ["--input", str(data_file), f"--lower={lower}", f"--upper={upper}",
                              "--epsilon", "0.5"],
             capsys,
         )
@@ -180,6 +183,26 @@ class TestEstimateValidation:
             )
             assert code == 2 and out == ""
             assert "epsilon" in err and "line" not in err and "cannot read" not in err
+
+    @pytest.mark.parametrize(
+        "mechanism, lower, upper, epsilon",
+        [
+            ("transformed", "0", "1", "5e-324"),
+            ("shifted", "0", "1e308", "0.5"),
+            ("independent", "-1e308", "1e307", "0.5"),
+        ],
+    )
+    def test_infinite_noise_scale_rejected_before_reading(
+        self, tmp_path, mechanism, lower, upper, epsilon, capsys
+    ):
+        # a valid epsilon and valid bounds whose Laplace scale overflows
+        code, out, err = run(
+            ESTIMATE_HEAD + ["--input", str(tmp_path / "missing.txt"), f"--lower={lower}",
+                             f"--upper={upper}", "--epsilon", epsilon, "--mechanism", mechanism],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert "Laplace scale" in err and "cannot read" not in err and "internal error" not in err
 
     def test_undecodable_input_rejected(self, tmp_path, capsys):
         path = tmp_path / "binary.txt"
@@ -523,8 +546,16 @@ class TestBounds:
     def test_unit_interval_table(self, capsys):
         code, out, _ = run(["bounds", "--epsilon", "0.5", "--lower", "0", "--upper", "1"], capsys)
         assert code == 0
-        assert out.count("8.0") >= 3  # swap, add-remove upper, lower bound
-        assert "ratio" in out and "2.0" in out
+        assert out == (
+            "normalized MSE leading terms for epsilon=0.5, bounds=[0.0, 1.0]\n"
+            "(asymptotic constants; true values carry a 1 +/- o(1) factor)\n"
+            "  swap min-max leading                   swap        8.0\n"
+            "  add-remove upper (transformed mech.)   add_remove  8.0\n"
+            "  add-remove lower bound                 add_remove  8.0\n"
+            "  shifted mech. worst case               add_remove  16.0\n"
+            "  (the first three rows coincide: each is 2 (upper - lower)^2 / epsilon^2)\n"
+            "  shifted / transformed MSE ratio                    2.0\n"
+        )
 
     def test_per_dataset_rows(self, capsys):
         code, out, _ = run(
@@ -538,6 +569,26 @@ class TestBounds:
     def test_zero_epsilon_rejected(self, capsys):
         code, _, err = run(["bounds", "--epsilon", "0", "--lower", "0", "--upper", "1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--epsilon", "0.5", "--lower=-1e308", "--upper=1e308"], "finite width"),
+            (["--epsilon", "1e-200", "--lower", "0", "--upper", "1"], "out of float range"),
+            (["--epsilon", "0.5", "--lower", "0", "--upper", "1e200"], "out of float range"),
+            (["--epsilon", "0.5", "--lower", "0", "--upper", "1", "--n", "1000", "--mean", "5"],
+             "mean 5.0 outside bounds"),
+            (["--epsilon", "0.5", "--lower", "0", "--upper", "1", "--n", "1000", "--mean", "nan"],
+             "mean nan outside bounds"),
+            (["--epsilon", "0.5", "--lower", "0", "--upper", "1", "--n", "1000"], "pass both or neither"),
+            (["--epsilon", "0.5", "--lower", "0", "--upper", "1", "--mean", "0.5"], "pass both or neither"),
+        ],
+        ids=["width", "eps-underflow", "width-squared", "mean-outside", "mean-nan", "n-alone", "mean-alone"],
+    )
+    def test_invalid_input_rejected(self, argv, message, capsys):
+        code, out, err = run(["bounds", *argv], capsys)
+        assert code == 2 and out == ""
+        assert message in err and "internal error" not in err
 
 
 class TestFigures:
@@ -757,3 +808,11 @@ class TestScripts:
             runpy.run_path(str(SCRIPTS / "explore_lower_bound.py"), run_name="__main__")
         assert exc.value.code == 2
         assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+    def test_explore_lower_bound_rejects_an_epsilon_whose_decay_rounds_to_one(self, monkeypatch, capsys):
+        # exp(-1e-17) rounds to 1.0: no geometric count noise has that decay
+        monkeypatch.setattr(sys, "argv", ["explore_lower_bound.py", "--epsilons", "1e-17"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(SCRIPTS / "explore_lower_bound.py"), run_name="__main__")
+        assert exc.value.code == 2
+        assert "geometric alpha must lie in (0, 1), got 1.0" in capsys.readouterr().err

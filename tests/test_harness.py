@@ -29,7 +29,14 @@ from dpmean.harness import (
     worst_case_over_family,
     write_metadata,
 )
-from dpmean.mechanisms import BoundedDataset, Mechanism, PrivacyBudget, run_mechanism, true_mean
+from dpmean.mechanisms import (
+    COMPLEMENT_TRANSFORM,
+    BoundedDataset,
+    Mechanism,
+    PrivacyBudget,
+    run_mechanism,
+    true_mean,
+)
 from dpmean.cli import main
 from dpmean.noise import Cursor, GeometricParams, RandomStream, two_sided_geometric_sample
 
@@ -101,7 +108,8 @@ class TestGenerateDataset:
             DatasetSpec(DatasetKind.CONSTANT, 3, 1.5, (0.0, 1.0))
 
     def test_bounds_must_be_finite(self):
-        for bounds in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, 0.0)):
+        # the last pair is finite, but its width overflows to inf
+        for bounds in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (1.0, 0.0), (-1e308, 1e308)):
             with pytest.raises(ValueError, match="bounds must be finite"):
                 DatasetSpec(DatasetKind.CONSTANT, 3, 0.5, bounds)
 
@@ -264,7 +272,7 @@ class TestSweep:
         rows = harness._squared_error_rows
 
         def exploding(plan, *args):
-            if plan.mechanism is Mechanism.TRANSFORMED:
+            if plan.g == COMPLEMENT_TRANSFORM:  # the transformed mechanism's G
                 raise boom
             return rows(plan, *args)
 

@@ -86,6 +86,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             BoundedDataset((0.5,), 1.0, 1.0)
 
+    def test_bounds_width_must_be_finite(self):
+        # each bound is finite, but upper - lower overflows to inf
+        with pytest.raises(ValueError, match="finite width"):
+            BoundedDataset((0.5,), -1e308, 1e308)
+        for mechanism in Mechanism:
+            with pytest.raises(ValueError, match="finite width"):
+                mechanism_plan(mechanism, -1e308, 1e308, PrivacyBudget(0.5))
+
     def test_values_inside_bounds(self):
         with pytest.raises(ValueError):
             BoundedDataset((1.5,), 0.0, 1.0)

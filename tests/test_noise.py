@@ -274,6 +274,12 @@ class _FirstDrawZero:
         return u
 
 
+def one_seed(seed, trials):
+    """``trial_uniform_pairs`` of the one-seed list [seed]: its one row."""
+    (u0,), (u1,) = trial_uniform_pairs([seed], trials)
+    return u0, u1
+
+
 class TestPhiloxKernel:
     """``trial_uniform_pairs``, drawn through numpy's C Philox kernel,
     against a numpy Philox opened at counter t: trial t is a cursor at
@@ -287,7 +293,7 @@ class TestPhiloxKernel:
 
     def test_first_words_match_numpy_philox(self):
         trials = 10_000
-        u0, u1 = trial_uniform_pairs(20240601, trials)
+        u0, u1 = one_seed(20240601, trials)
         assert u0.shape == u1.shape == (trials,)
         for t in range(0, trials, 97):
             gen = self.numpy_trial(20240601, t)
@@ -296,13 +302,13 @@ class TestPhiloxKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
     def test_edge_keys(self, seed):
         trials = 600
-        u0, u1 = trial_uniform_pairs(seed, trials)
+        u0, u1 = one_seed(seed, trials)
         for t in (0, 1, trials - 1):
             gen = self.numpy_trial(seed, t)
             assert (gen.random(), gen.random()) == (u0[t], u1[t])
 
     def test_scalar_id_is_a_batch_of_one(self):
-        u0, u1 = trial_uniform_pairs(2**64 - 1, 1)
+        u0, u1 = one_seed(2**64 - 1, 1)
         gen = numpy_stream(2**64 - 1, 0)
         assert u0.shape == u1.shape == (1,)
         assert (gen.random(), gen.random()) == (u0[0], u1[0])
@@ -310,17 +316,17 @@ class TestPhiloxKernel:
     @pytest.mark.parametrize("seed", [0, 77, 2**64 - 1])
     def test_trial_zero_is_the_release_stream(self, seed):
         # `dpmean estimate` draws from RandomStream(seed, 0) from its start
-        u0, u1 = trial_uniform_pairs(seed, 5)
+        u0, u1 = one_seed(seed, 5)
         cursor = RandomStream(seed, 0).cursor()
         assert (cursor.uniform_open(), cursor.uniform_open()) == (u0[0], u1[0])
 
     def test_seed_validated(self):
         for bad in (-1, 2**64, 1.5, True):
             with pytest.raises(ValueError, match="unsigned 64-bit integer"):
-                trial_uniform_pairs(bad, 3)
+                trial_uniform_pairs([bad], 3)
 
     def test_pairs_equal_two_scalar_draws(self):
-        u0, u1 = trial_uniform_pairs(77, 50)
+        u0, u1 = one_seed(77, 50)
         for t in (0, 5, 17, 49):
             cursor = Cursor(RandomStream(77, 0), t)
             assert (cursor.uniform_open(), cursor.uniform_open()) == (u0[t], u1[t])
@@ -352,9 +358,9 @@ class TestPhiloxKernel:
 
     def test_zero_word_redraws_like_scalar_cursor(self, monkeypatch):
         seed, target = 31, 17
-        clean = trial_uniform_pairs(seed, 64)
+        clean = one_seed(seed, 64)
         self.force_zero_word(monkeypatch, seed, target)
-        u0, u1 = trial_uniform_pairs(seed, 64)
+        u0, u1 = one_seed(seed, 64)
         scalar = Cursor(RandomStream(seed, 0), target)
         assert (u0[target], u1[target]) == (scalar.uniform_open(), scalar.uniform_open())
         # the redraw skips the zero word: the pair is words 1 and 2 of the block
@@ -368,9 +374,9 @@ class TestPhiloxKernel:
     def test_zero_word_in_a_seed_batch_redraws_from_its_own_seed(self, monkeypatch):
         # of a sweep's cells, only the hit one moves, and it redraws from its own seed
         seeds, hit_seed, target = (31, 32, 33), 32, 17
-        clean = [trial_uniform_pairs(s, 64) for s in seeds]
+        clean = [one_seed(s, 64) for s in seeds]
         self.force_zero_word(monkeypatch, hit_seed, target)
-        pairs = {s: trial_uniform_pairs(s, 64) for s in seeds}
+        pairs = {s: one_seed(s, 64) for s in seeds}
         for seed, (u0, u1) in zip(seeds, clean):
             if seed != hit_seed:
                 assert np.array_equal(pairs[seed][0], u0) and np.array_equal(pairs[seed][1], u1)
@@ -421,14 +427,14 @@ class TestPhiloxKernel:
         u0, u1 = trial_uniform_pairs(seeds, trials)
         assert u0.shape == u1.shape == (3, trials)
         for row, seed in enumerate(seeds):
-            a, b = trial_uniform_pairs(seed, trials)
+            a, b = one_seed(seed, trials)
             assert u0[row].flags.c_contiguous and u1[row].flags.c_contiguous
             assert np.array_equal(u0[row], a) and np.array_equal(u1[row], b)
 
     @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, True])
     def test_bad_seed_in_a_sequence_raises_the_scalar_error(self, bad):
         with pytest.raises(ValueError) as scalar:
-            trial_uniform_pairs(bad, 3)
+            trial_uniform_pairs([bad], 3)
         with pytest.raises(ValueError) as batch:
             trial_uniform_pairs([5, bad], 3)
         assert str(batch.value) == str(scalar.value)
@@ -436,14 +442,14 @@ class TestPhiloxKernel:
     def test_max_seed_in_an_array_raises_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u0, u1 = trial_uniform_pairs(2**64 - 1, 3)
+            u0, u1 = one_seed(2**64 - 1, 3)
         gen = self.numpy_trial(2**64 - 1, 2)
         assert (u0[2], u1[2]) == (gen.random(), gen.random())
 
     @pytest.mark.parametrize("trials", [1, 7, 1365, 4097])
     def test_trial_pairs_equal_per_seed_calls(self, trials):
         for seed in (3, 2**64 - 1, 0, 2**40, 9):
-            u_a, u_b = trial_uniform_pairs(seed, trials)
+            u_a, u_b = one_seed(seed, trials)
             cursors = [Cursor(RandomStream(seed, 0), t) for t in range(trials)]
             expected = [(c.uniform_open(), c.uniform_open()) for c in cursors]
             assert list(zip(u_a.tolist(), u_b.tolist())) == expected
@@ -451,10 +457,10 @@ class TestPhiloxKernel:
     @pytest.mark.parametrize("trials", [0, -1, True, 2.0])
     def test_trial_count_validated(self, trials):
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
-            trial_uniform_pairs(3, trials)
+            trial_uniform_pairs([3], trials)
 
     def test_adjacent_trials_uncorrelated(self):
         # at 10^5 trials the 0.02 gate sits over 6 standard errors out
-        u0, u1 = trial_uniform_pairs(20240601, 100_000)
+        u0, u1 = one_seed(20240601, 100_000)
         for a, b in ((u0[:-1], u0[1:]), (u1[:-1], u1[1:]), (u0[:-1], u1[1:]), (u0, u1)):
             assert abs(np.corrcoef(a, b)[0, 1]) < 0.02

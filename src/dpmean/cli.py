@@ -7,8 +7,11 @@ Exit codes: 0 success, 2 validation error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import codecs
+import io
 import itertools
 import json
+import math
 import secrets
 import sys
 from pathlib import Path
@@ -38,8 +41,9 @@ from .harness import (
     sweep,
     write_metadata,
 )
-from .mechanisms import BoundedDataset, Mechanism, PrivacyBudget, mechanism_plan, run_mechanism
-from .noise import LaplaceParams, RandomStream
+# BoundedDataset and run_mechanism are not called here: perfbench/tracing.py patches them on this module.
+from .mechanisms import BoundedDataset, Mechanism, PrivacyBudget, mechanism_plan, run_mechanism, scaled_partials  # noqa: F401
+from .noise import RandomStream
 
 POLYGON_CSV_HEADER = "polygon_id,vertex_index,x,y"
 
@@ -49,7 +53,8 @@ PRIVACY_NOTE = (
 )
 
 
-_CHUNK = 1 << 17  # characters of the input file read and parsed at a time
+_CHUNK = 1 << 17  # most bytes of the input file read and parsed at a time
+_PARTIALS = 1 << 12  # partials a release keeps before merging them, exactly
 
 
 class ValidationError(Exception):
@@ -88,7 +93,7 @@ _WEIGHTS = np.array([float(10**j) for j in reversed(range(_ROW))])  # column c w
 # By line length n: a mask of a row's last n bytes.
 _KEEP = np.array([[0] * (_ROW - n) + [255] * n for n in range(_ROW + 1)], dtype=np.uint8)
 _BYTE_SUM = np.uint64(0x0101010101010101)  # times a word: its bytes summed in the top byte
-_PROBE = 2048  # characters at the head of a block that choose its path
+_PROBE = 2048  # bytes at the head of a block that choose its path
 
 
 def _floats(lines) -> np.ndarray:
@@ -116,25 +121,26 @@ def _exact(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray) -> tuple[np.ndar
     exact = ((other[:, 0] | other[:, 1]) == 0) & (dots <= 1) & (lens > dots) & (lens - dots <= 14)
     k = np.where(dots == 1, _ROW - 1 - dot.argmax(1), 0)  # the columns after the dot
     digits *= ~dot  # the dot adds nothing to s
-    # Every partial sum is an integer below 10^15 < 2^53, so s is exact.
-    # Digits left of a dot weigh ten times too much; those right of it sum
-    # to f = s mod 10^k, and (s - f) / 10 + f = M.
-    s = np.einsum("ij,j->i", digits, _WEIGHTS).astype(np.int64)
+    # Every partial sum is an integer below 10^15 < 2^53, so s is exact in
+    # any summation order, a matrix-vector product's included.  Digits left
+    # of a dot weigh ten times too much; those right of it sum to
+    # f = s mod 10^k, and (s - f) / 10 + f = M.
+    s = (digits @ _WEIGHTS).astype(np.int64)
     p = _POWERS[k]
     f = s % p
     return exact, np.where(dots == 1, (s - f) // 10 + f, s) / p
 
 
-def _fixed(block: str, buf: np.ndarray) -> np.ndarray | None:
-    """The values of ``block``, whose bytes are ``buf``, if all its lines
-    are exact and of its first line's length with its dot column (or none);
-    None for any other block."""
-    width = block.find("\n") + 1  # a line and its newline
-    n, rest = divmod(len(buf), width)
-    dot = block.find(".", 0, width)
+def _fixed(data, end: int) -> np.ndarray | None:
+    """The values of the lines ``data[_ROW:end]`` if all are exact and of
+    the first line's length with its dot column (or none); None otherwise."""
+    width = data.find(b"\n", _ROW, end) + 1 - _ROW  # a line and its newline
+    n, rest = divmod(end - _ROW, width)
+    dot = data.find(b".", _ROW, _ROW + width)
+    dot = dot - _ROW if dot >= 0 else -1
     if rest or not 1 <= width - 1 - (dot >= 0) <= 14:
         return None
-    rows = buf.reshape(n, width)
+    rows = np.frombuffer(data, np.uint8, end - _ROW, _ROW).reshape(n, width)
     digits = rows - np.uint8(48)
     # With a newline ending every row, the rows are the lines; with the dot
     # column all dots and no other byte but a digit, every line is exact.
@@ -147,25 +153,26 @@ def _fixed(block: str, buf: np.ndarray) -> np.ndarray | None:
     weights = np.zeros(width)  # the newline and the dot weigh 0
     columns = [j for j in range(width - 1) if j != dot]
     weights[columns] = _WEIGHTS[_ROW - len(columns):]
-    # Each M is an integer below 10^14 < 2^53, exact in any summation order;
-    # einsum casts the digits a buffer at a time, with no float64 copy.
-    return np.einsum("ij,j->i", digits, weights) / _POWERS[width - 2 - dot if dot >= 0 else 0]
+    # Each M is an integer below 10^14 < 2^53, exact in any summation order,
+    # so one matrix-vector product gives every M of the block.
+    return (digits @ weights) / _POWERS[width - 2 - dot if dot >= 0 else 0]
 
 
-def _parse(block: str) -> np.ndarray:
-    """``float`` of each stripped non-blank line of ``block``, whose every
-    line ends in a newline, in order, as float64."""
+def _parse(data, end: int) -> np.ndarray:
+    """``float`` of each stripped non-blank line of ``data[_ROW:end]``, ASCII
+    lines that each end in a newline, in order, as float64.  The ``_ROW``
+    bytes before them are room for the windows of ``_exact``."""
     # The array pass beats float only where 7 lines in 8 or more are exact.
     # The complete lines of the head screen a block for that at little cost:
     # exact lines are at most 15 characters and hold only digits and a dot.
-    head = block[:_PROBE]
-    head = head[:head.rfind("\n") + 1]
-    lines = head.count("\n")
-    if block.isascii() and len(head) <= _ROW * lines and 8 * len(head.encode().translate(None, b"0123456789.\n")) <= lines:
-        buf = np.frombuffer((" " * _ROW + block).encode("ascii"), dtype=np.uint8)
-        values = _fixed(block, buf[_ROW:])
+    head = data[_ROW:min(end, _ROW + _PROBE)]
+    head = head[:head.rfind(b"\n") + 1]
+    lines = head.count(b"\n")
+    if len(head) <= _ROW * lines and 8 * len(head.translate(None, b"0123456789.\n")) <= lines:
+        values = _fixed(data, end)
         if values is not None:
             return values
+        buf = np.frombuffer(data, np.uint8, end)
         ends = np.flatnonzero(buf == 10)
         lens = np.diff(ends, prepend=_ROW - 1) - 1
         exact, values = _exact(buf, ends, lens)
@@ -173,17 +180,35 @@ def _parse(block: str) -> np.ndarray:
             return values
         if 8 * np.count_nonzero(exact) >= 7 * len(exact):
             slow = np.flatnonzero(~exact)
-            texts = [block[e - n - _ROW:e - _ROW].strip() for e, n in zip(ends[slow].tolist(), lens[slow].tolist())]
+            texts = [str(data[e - n:e], "ascii").strip() for e, n in zip(ends[slow].tolist(), lens[slow].tolist())]
             filled = np.fromiter(map(bool, texts), dtype=bool, count=len(texts))
             values[slow[filled]] = _floats(texts)
             return np.delete(values, slow[~filled])
+    return _floats(str(data[_ROW:end], "ascii").split("\n"))
+
+
+def _parse_text(block: str) -> np.ndarray:
+    """``_parse`` of ``block``, decoded text whose every line ends in a
+    newline; a block with a non-ASCII character goes through ``float``."""
+    if block.isascii():
+        data = (" " * _ROW + block).encode("ascii")
+        return _parse(data, len(data))
     return _floats(block.split("\n"))
 
 
-def _read_values(path: str) -> np.ndarray:
+def _chunks(path: str):
     """The values of a file, ``float`` of each stripped non-blank line, as
-    float64, read ``_CHUNK`` characters at a time.  A file with no such line
-    gives no values: the empty dataset releases like any other.
+    float64, one array per read of at most ``_CHUNK`` bytes, in file order.
+    A file with no such line gives no values: the empty dataset releases
+    like any other.
+
+    The bytes of a read that are all ASCII and hold no carriage return,
+    after an ASCII unfinished line and while the decoder holds no part of a
+    character or line ending, are their own text in the locale's encoding,
+    as ASCII is in every locale's, and are parsed where they lie in the
+    read buffer.  Every other read is decoded by text mode's own decoder,
+    which ends lines as text mode does, and is parsed as text.  The
+    unfinished last line of a read opens the next.
 
     A line of 1-14 ASCII digits with at most one ``.`` and nothing else, no
     sign, exponent, ``_`` or padding, takes an exact path in array passes.
@@ -198,20 +223,44 @@ def _read_values(path: str) -> np.ndarray:
     ``float`` on each line.  The array pass pays only where nearly every line
     is exact, so a chunk takes it only if at least 7 lines in 8 are exact;
     any other chunk goes through ``float`` whole."""
-    parts, tail = [], ""
     try:
-        # Text mode decodes and maps \r\n and \r to \n as read_text does; its
-        # incremental decoder holds back a \r or a partial character that
-        # ends a chunk.  The unfinished last line of a chunk opens the next.
-        with open(path) as f:
-            while chunk := f.read(_CHUNK):
-                text = tail + chunk
-                cut = text.rfind("\n") + 1
-                if cut:
-                    parts.append(_parse(text[:cut]))
-                tail = text[cut:]
-        if tail:
-            parts.append(_parse(tail + "\n"))
+        with open(path) as f:  # text mode, for the locale's encoding
+            decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder(f.encoding)(), translate=True)
+            # The unfinished line is buf[_ROW:start], after _ROW bytes of
+            # room for _exact's windows, or it is text when not ASCII.
+            buf, start, text = bytearray(b" " * _ROW + bytes(_CHUNK)), _ROW, None
+            while True:
+                if start == len(buf):  # a line longer than the buffer
+                    buf += bytes(_CHUNK)
+                read = f.buffer.readinto(memoryview(buf)[start:start + _CHUNK])
+                if not read:
+                    break
+                end = start + read
+                if (
+                    text is None
+                    and decoder.getstate() == (b"", 0)
+                    and np.frombuffer(buf, np.uint8, read, start).max() < 0x80
+                    and buf.find(b"\r", start, end) < 0
+                ):
+                    cut = buf.rfind(b"\n", _ROW, end) + 1
+                    if not cut:
+                        start = end
+                        continue
+                    yield _parse(buf, cut)
+                    rest = buf[cut:end]
+                else:
+                    text = (str(buf[_ROW:start], "ascii") if text is None else text) + decoder.decode(buf[start:end])
+                    cut = text.rfind("\n") + 1
+                    if cut:
+                        yield _parse_text(text[:cut])
+                        text = text[cut:]
+                    rest, text = (text.encode("ascii"), None) if text.isascii() else (b"", text)
+                buf[_ROW:_ROW + len(rest)] = rest
+                start = _ROW + len(rest)
+            # A held \r ends a line; a held part of a character raises.
+            text = (str(buf[_ROW:start], "ascii") if text is None else text) + decoder.decode(b"", final=True)
+        if text:
+            yield _parse_text(text + "\n")
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         # Only a rejected file is read again in full, to report the error as
         # a whole-file read does and to number the offending line.
@@ -221,7 +270,27 @@ def _read_values(path: str) -> np.ndarray:
             except ValueError as exc:
                 raise ValidationError(f"line {lineno}: not a decimal number: {line!r}") from exc
         raise
-    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _fold(chunks, lower: float, upper: float) -> tuple[int, list[float], tuple[int, float] | None]:
+    """Fold arrays of values, in order, into (n, partials, outside): their
+    count; exact partials whose fsum is ``BoundedDataset.scaled_total`` of
+    all the values, bit for bit; and the index and value of the first value
+    outside [lower, upper], or None.  Partials are kept only while every
+    value so far lies inside."""
+    n, partials, outside = 0, [], None
+    for values in chunks:
+        if outside is None:
+            inside = (values >= lower) & (values <= upper)
+            if inside.all():
+                partials += scaled_partials(values, lower, upper - lower)
+                if len(partials) > _PARTIALS:  # the same exact sum, in a few partials
+                    partials = scaled_partials(np.array(partials), 0.0, 1.0)
+            else:
+                first = int(inside.argmin())
+                outside = (n + first, float(values[first]))
+        n += len(values)
+    return n, partials, outside
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -229,38 +298,34 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     try:
         eps = PrivacyBudget(args.epsilon)
         mechanism = Mechanism(args.mechanism)
-        # The plan checks the bounds; its noise scales must be valid Laplace scales.
-        for scale in mechanism_plan(mechanism, args.lower, args.upper, eps).scales:
-            LaplaceParams(scale)
+        # The plan checks the bounds and that its noise scales are valid Laplace scales.
+        plan = mechanism_plan(mechanism, args.lower, args.upper, eps)
         stream = RandomStream(args.seed if args.seed is not None else _entropy_seed(), 0)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    values = _read_values(args.input)
-    try:
-        d = BoundedDataset(values, args.lower, args.upper)
-    except ValueError as exc:
-        # Only a rejected file is read again, for the line of the first
-        # value outside the bounds.
-        first = int(np.argmin((values >= args.lower) & (values <= args.upper)))
+    # Each chunk is folded in as it is read: no array of the whole file.
+    n, partials, outside = _fold(_chunks(args.input), args.lower, args.upper)
+    if outside is not None:
+        first, value = outside
+        message = f"value {value} is outside the declared bounds [{args.lower}, {args.upper}]"
+        # Only a rejected file is read again, for the line of that value.
         for lineno, _ in itertools.islice(_numbered(_input_lines(args.input)), first, None):
-            raise ValidationError(
-                f"line {lineno}: value {float(values[first])} is outside the declared "
-                f"bounds [{args.lower}, {args.upper}]"
-            ) from exc
-        raise ValidationError(str(exc)) from exc
-    del values  # d holds its own copy
+            raise ValidationError(f"line {lineno}: {message}")
+        raise ValidationError(message)
     # Exactly one mechanism invocation: no retries, or the guarantee degrades.
-    estimate = run_mechanism(d, eps, mechanism, stream)
+    # An empty file releases the noise alone: (s, n) = (0, 0).
+    noise = plan.noise(stream)
+    estimate = float(plan.estimate(math.fsum(partials), float(n), noise.za, noise.zb)[2])
     # No seed in the record: whoever knows it can subtract the noise.
     record = {
         "mechanism": mechanism.value,
         "epsilon": eps.epsilon,
         "n_is_private": True,
-        "estimate": estimate.value,
+        "estimate": estimate,
         "bounds": [args.lower, args.upper],
     }
     print(json.dumps(record))
-    print(f"private mean estimate ({mechanism.value}): {estimate.value!r}", file=sys.stderr)
+    print(f"private mean estimate ({mechanism.value}): {estimate!r}", file=sys.stderr)
     print(PRIVACY_NOTE, file=sys.stderr)
     return 0
 

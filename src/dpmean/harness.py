@@ -118,7 +118,11 @@ def generate_dataset(spec: DatasetSpec) -> BoundedDataset:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A sweep's axes, trials and seed.  Mechanisms may be named and the axes
-    given as any sequences; they are stored as tuples, values untouched."""
+    given as any sequences; they are stored as tuples, values untouched.
+    ``plans`` maps each (mechanism, epsilon, bounds) of the cells, in the
+    first form of each in cell order, to its plan.  They are built here, so
+    an epsilon or a Laplace scale that a plan refuses is refused before any
+    cell runs."""
 
     mechanisms: tuple[Mechanism, ...]
     epsilons: tuple[float, ...]
@@ -133,8 +137,14 @@ class ExperimentConfig:
         if not (self.mechanisms and self.epsilons and self.dataset_specs):
             raise ValueError("a sweep needs at least one mechanism, epsilon and dataset spec")
         check_count("trials", self.trials)
-        for e in self.epsilons:
-            PrivacyBudget(e)
+        keys = dict.fromkeys(
+            (mech, e, spec.bounds)
+            for mech in self.mechanisms
+            for e in self.epsilons
+            for spec in self.dataset_specs
+        )
+        plans = {key: mechanism_plan(key[0], *key[2], PrivacyBudget(key[1])) for key in keys}
+        object.__setattr__(self, "plans", plans)  # not a field: no part of the config's record
         check_uint64("seed", self.seed)
 
 
@@ -260,7 +270,7 @@ def sweep(config: ExperimentConfig) -> list[MseReport]:
     datasets: dict[DatasetSpec, BoundedDataset] = {}
     reports: list[MseReport] = [None] * len(cells)
     for (mech, e, bounds), indices in groups.items():
-        plan = mechanism_plan(mech, *bounds, PrivacyBudget(e))
+        plan = config.plans[(mech, e, bounds)]
         for batch in _batches(indices, config.trials):
             specs = [cells[i][2] for i in batch]
             seeds = [_derived_seed(config.seed, i) for i in batch]

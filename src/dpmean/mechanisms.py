@@ -74,7 +74,7 @@ def check_bounds(lower: float, upper: float) -> None:
         )
 
 
-#: Terms per block of ``BoundedDataset.scaled_total``, and the mask that
+#: Terms per block of ``scaled_partials``, and the mask that
 #: clears the low 27 of a double's 52 mantissa bits.
 _SUM_BLOCK = 1 << 16
 _HEAD_MASK = ~((1 << 27) - 1)
@@ -128,7 +128,7 @@ class BoundedDataset:
     # ``total`` and ``shifted_total`` sum one IEEE operation on each value
     # with fsum, which reads the doubles through a buffer view, so no list of
     # floats is built.  ``scaled_total`` sums two operations on each value,
-    # (value - lower) / width, exactly in blocks; see its docstring.
+    # (value - lower) / width, exactly in blocks; see ``scaled_partials``.
     @cached_property
     def total(self) -> float:
         return math.fsum(memoryview(self.values))
@@ -139,34 +139,43 @@ class BoundedDataset:
 
     @cached_property
     def scaled_total(self) -> float:
-        """fsum(((values - lower) / width).tolist()), bit for bit, from exact
-        per-exponent partial sums (Demmel & Hida, SIAM J. Sci. Comput. 2003).
+        """fsum(((values - lower) / width).tolist()), bit for bit; see
+        ``scaled_partials``."""
+        return math.fsum(scaled_partials(self.values, self.lower, self.width))
 
-        Each block of at most 2^16 terms is split by IEEE exponent field e.
-        A term x of bin e is an integer multiple of u = 2^(max(e, 1) - 1075)
-        below 2^53 u in magnitude.  Its head, x with the low 27 mantissa bits
-        cleared, is a multiple of 2^27 u below 2^53 u; its tail x - head is
-        exact and a multiple of u below 2^27 u.  So every running sum of at
-        most 2^16 heads (or tails) of one bin is a multiple of one power of
-        two below 2^53 of those units: it is exact in float64, in any order,
-        and bincount's per-bin sums are exact.  fsum of exact partials is the
-        correctly rounded total, which is what fsum of the terms returns.
-        Zero terms and zero bins add nothing, so both drop them.  The terms
-        lie in [0, 1] (a value -0.0 at lower = 0.0 gives -0.0, whose sign
-        bit the exponent mask drops), so no bin can overflow.
-        """
-        partials = []
-        for start in range(0, len(self.values), _SUM_BLOCK):
-            x = self.values[start : start + _SUM_BLOCK] - self.lower
-            x /= self.width
-            bits = x.view(np.int64)
-            exponent = (bits >> 52) & 0x7FF
-            head = (bits & _HEAD_MASK).view(np.float64)
-            x -= head  # the tail, exactly
-            for part in (head, x):
-                sums = np.bincount(exponent, weights=part)
-                partials += sums[sums != 0].tolist()
-        return math.fsum(partials)
+
+def scaled_partials(values: np.ndarray, lower: float, width: float) -> list[float]:
+    """Exact partial sums of the terms (values - lower) / width, whose fsum
+    is fsum of the terms, bit for bit, however the values are split between
+    calls (Demmel & Hida, SIAM J. Sci. Comput. 2003).
+
+    Each block of at most 2^16 terms is split by IEEE exponent field e.
+    A term x of bin e is an integer multiple of u = 2^(max(e, 1) - 1075)
+    below 2^53 u in magnitude.  Its head, x with the low 27 mantissa bits
+    cleared, is a multiple of 2^27 u below 2^53 u; its tail x - head is
+    exact and a multiple of u below 2^27 u.  So every running sum of at
+    most 2^16 heads (or tails) of one bin is a multiple of one power of
+    two below 2^53 of those units: it is exact in float64, in any order,
+    and bincount's per-bin sums are exact.  fsum of exact partials is the
+    correctly rounded total, which is what fsum of the terms returns.
+    Zero terms and zero bins add nothing, so both drop them.  The terms
+    are nonnegative (a value -0.0 at lower = 0.0 gives -0.0, whose sign
+    bit the exponent mask drops) and their total is finite, so no bin can
+    overflow: true of terms in [0, 1], and of partials this returned, read
+    at lower 0 and width 1, which merges them into at most two per bin.
+    """
+    partials = []
+    for start in range(0, len(values), _SUM_BLOCK):
+        x = values[start : start + _SUM_BLOCK] - lower
+        x /= width
+        bits = x.view(np.int64)
+        exponent = (bits >> 52) & 0x7FF
+        head = (bits & _HEAD_MASK).view(np.float64)
+        x -= head  # the tail, exactly
+        for part in (head, x):
+            sums = np.bincount(exponent, weights=part)
+            partials += sums[sums != 0].tolist()
+    return partials
 
 
 @dataclass(frozen=True)
@@ -317,7 +326,8 @@ def _ratio(num, den):
 class MechanismPlan:
     """A row (G, D) of the module table fixed to bounds [lower, upper] and a
     budget, with what it implies: the released transform T = D G, its
-    inverse, the L1 radius of G and the Laplace scales D * radius / eps."""
+    inverse, the L1 radius of G and the Laplace scales D * radius / eps,
+    each of which must be a valid ``LaplaceParams`` scale."""
 
     g: Transform2x2
     diag: tuple[float, float]
@@ -334,6 +344,8 @@ class MechanismPlan:
         t = Transform2x2(d1 * g.a11, d1 * g.a12, d2 * g.a21, d2 * g.a22)
         radius = l1_sensitivity_under(g, UNIT_SEGMENT)
         scales = (d1 * radius / e, d2 * radius / e)
+        for scale in scales:
+            LaplaceParams(scale)
         for name, value in (("t", t), ("t_inv", t.inverse()), ("radius", radius), ("scales", scales)):
             object.__setattr__(self, name, value)
 
@@ -347,6 +359,12 @@ class MechanismPlan:
             s_hat, n_hat = self.t_inv.apply((first, second))
             w = self.upper - self.lower
             return first, second, w * _clip(_ratio(s_hat, n_hat), 0.0, 1.0) + self.lower
+
+    def noise(self, stream: RandomStream | Cursor) -> NoisePair:
+        """The plan's noise pair, drawn from a stream (a fresh cursor is
+        opened) or an already-positioned cursor: za first, then zb."""
+        cursor = stream.cursor() if isinstance(stream, RandomStream) else stream
+        return NoisePair(*[laplace_sample(cursor, LaplaceParams(scale)) for scale in self.scales])
 
     def mean_estimate(self, d: BoundedDataset, noise: NoisePair) -> MeanEstimate:
         """One release on d, which must have the plan's bounds, with the given
@@ -402,6 +420,4 @@ def run_mechanism(
     at counter t of stream (s, 0), with arrays in place of the two draws.
     """
     plan = mechanism_plan(mechanism, d.lower, d.upper, eps)
-    cursor = stream.cursor() if isinstance(stream, RandomStream) else stream
-    noise = NoisePair(*[laplace_sample(cursor, LaplaceParams(scale)) for scale in plan.scales])
-    return plan.mean_estimate(d, noise)
+    return plan.mean_estimate(d, plan.noise(stream))

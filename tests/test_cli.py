@@ -1,7 +1,9 @@
 import json
+import math
 import re
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dpmean import cli
-from dpmean.cli import _read_values, main
+from dpmean.cli import main
 from dpmean.harness import CSV_HEADER
+from dpmean.mechanisms import BoundedDataset, Mechanism, PrivacyBudget, run_mechanism
+from dpmean.noise import RandomStream
 
 
 TWO_POINT_SPEC = {"kind": "two_point", "size": 30, "target_mean": 0.5, "bounds": [0.0, 1.0]}
@@ -231,7 +235,7 @@ class TestEstimateValidation:
 
 
 # Digit strings with the dot anywhere or absent: those of 1-14 digits take
-# the exact array path of ``_read_values`` when unpadded, the rest ``float``.
+# the exact array path of ``cli._chunks`` when unpadded, the rest ``float``.
 FIXED_POINT = st.tuples(st.text(alphabet="0123456789", min_size=1, max_size=16), st.integers(-1, 16)).map(
     lambda t: t[0] if t[1] < 0 else t[0][: t[1]] + "." + t[0][t[1]:]
 )
@@ -260,7 +264,7 @@ ENDING = st.sampled_from(["\n", "\r\n", "\r"])
 NUMBERED_LINES = st.lists(st.tuples(LINE, ENDING), max_size=30).filter(
     lambda ls: any(l.strip() for l, _ in ls)
 )
-TINY_CHUNKS = [1, 2, 3, 7]  # characters per read, so lines and \r\n pairs straddle reads
+TINY_CHUNKS = [1, 2, 3, 7]  # bytes per read, so lines, \r\n pairs and characters straddle reads
 
 
 @st.composite
@@ -286,9 +290,15 @@ def float_outcome(lines):
     return np.array(values, dtype=np.float64).tobytes()
 
 
+def read_values(path):
+    """The values of a file as one array: the arrays ``cli._chunks`` gives,
+    joined, which a release folds in one at a time instead."""
+    return np.concatenate([np.empty(0), *cli._chunks(str(path))])
+
+
 def read_outcome(path):
     try:
-        return _read_values(str(path)).tobytes()
+        return read_values(path).tobytes()
     except cli.ValidationError as exc:
         return str(exc)
 
@@ -300,7 +310,7 @@ class TestReadValues:
         path.write_bytes("".join(l + end for l, end in numbered_lines).encode())
         lines = [l for l, _ in numbered_lines]
         expected = np.array([float(l.strip()) for l in lines if l.strip()], dtype=np.float64)
-        got = _read_values(str(path))
+        got = read_values(path)
         assert got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
 
@@ -356,7 +366,7 @@ class TestReadValues:
         path = tmp_path / "values.txt"
         path.write_text("0.123456789\n1\n.5\n5.\n12345678901234\n" * 5 + "+0.5\n123456789012345\n 7\n")
         exact = [0.123456789, 1.0, 0.5, 5.0, 12345678901234.0]
-        assert _read_values(str(path)).tolist() == exact * 5 + [0.5, 123456789012345.0, 7.0]
+        assert read_values(path).tolist() == exact * 5 + [0.5, 123456789012345.0, 7.0]
         assert seen == ["+0.5", "123456789012345", "7"]
 
     # Below 7 exact lines in 8 the array pass costs more than it saves: a
@@ -367,7 +377,7 @@ class TestReadValues:
         monkeypatch.setattr(cli, "float", lambda text: seen.append(text) or float(text), raising=False)
         path = tmp_path / "values.txt"
         path.write_text("".join(line + "\n" for line in lines))
-        assert _read_values(str(path)).tolist() == [float(line) for line in lines]
+        assert read_values(path).tolist() == [float(line) for line in lines]
         assert seen == lines
 
     @pytest.mark.parametrize("bad", [".", "1.2.3", "..5", "5..", "1.2.", "1.\x7f"])
@@ -377,7 +387,7 @@ class TestReadValues:
         path = tmp_path / "values.txt"
         path.write_text("0.5\n" * 20 + f"{bad}\n0.25\n")
         with pytest.raises(cli.ValidationError, match=f"^line 21: not a decimal number: {re.escape(repr(bad))}$"):
-            _read_values(str(path))
+            read_values(path)
 
     @pytest.mark.parametrize("chunk", [7, cli._CHUNK])
     @pytest.mark.parametrize(
@@ -386,13 +396,13 @@ class TestReadValues:
         ids=["crlf", "char-split-2-1", "char-split-1-2"],
     )
     def test_decoder_buffer_edge(self, tmp_path, monkeypatch, chunk, tail, values):
-        # Asked for a few characters, text mode reads and decodes 8 KiB of
-        # bytes at a time.  After 8190 bytes of "0\n" lines the tail puts a
-        # \r\n pair, or a 3-byte U+3000 split 2+1 or 1+2, across byte 8192.
+        # After 8190 bytes of "0\n" lines the tail puts a \r\n pair, or a
+        # 3-byte U+3000 split 2+1 or 1+2, across byte 8192: ASCII reads as
+        # bytes, then a read the decoder takes, in small and in whole reads.
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         path = tmp_path / "values.txt"
         path.write_bytes(("0\n" * 4095 + tail).encode())
-        assert _read_values(str(path)).tolist() == [0.0] * 4095 + values
+        assert read_values(path).tolist() == [0.0] * 4095 + values
 
     @pytest.mark.parametrize("chunk", TINY_CHUNKS)
     def test_no_trailing_newline(self, tmp_path, monkeypatch, chunk):
@@ -405,7 +415,7 @@ class TestReadValues:
             ("0.25", [0.25]),
         ):
             path.write_bytes(text.encode())
-            assert _read_values(str(path)).tolist() == expected
+            assert read_values(path).tolist() == expected
 
     @pytest.mark.parametrize("chunk", [*TINY_CHUNKS, cli._CHUNK])
     def test_newline_ended_file_parses_no_tail(self, tmp_path, monkeypatch, chunk):
@@ -414,8 +424,8 @@ class TestReadValues:
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         lines, exact, fixed = [], cli._exact, cli._fixed
 
-        def counted_fixed(block, buf):
-            values = fixed(block, buf)
+        def counted_fixed(data, end):
+            values = fixed(data, end)
             lines.append(0 if values is None else len(values))
             return values
 
@@ -423,7 +433,7 @@ class TestReadValues:
         monkeypatch.setattr(cli, "_fixed", counted_fixed)
         path = tmp_path / "values.txt"
         path.write_text("0.5\n0.25\n")
-        assert _read_values(str(path)).tolist() == [0.5, 0.25]
+        assert read_values(path).tolist() == [0.5, 0.25]
         assert sum(lines) == 2
 
 
@@ -463,7 +473,8 @@ class TestFixedWidth:
     )
     def test_near_misses_fall_back(self, tmp_path, lines):
         block = "".join(line + "\n" for line in lines)
-        assert cli._fixed(block, np.frombuffer(block.encode(), dtype=np.uint8)) is None
+        data = (" " * cli._ROW + block).encode()
+        assert cli._fixed(data, len(data)) is None
         path = tmp_path / "values.txt"
         path.write_text(block)
         assert read_outcome(path) == float_outcome(lines)
@@ -476,7 +487,7 @@ class TestFixedWidth:
         calls = []
         monkeypatch.setattr(cli, "float", lambda text: calls.append(text) or float(text), raising=False)
         monkeypatch.setattr(cli, "_exact", lambda *args: calls.append(args))
-        assert _read_values(str(path)).tolist() == expected
+        assert read_values(path).tolist() == expected
         assert calls == []
 
 
@@ -540,6 +551,87 @@ class TestRejectedAcrossChunks:
         code, out, err = run(self.ARGV + ["--input", str(path)], capsys)
         assert code == 2 and out == ""
         assert err == expected
+
+
+def write_fixed_width(path, n, seed):
+    """n lines "0.ddddddddd" of random digits, written as one array."""
+    lines = np.empty((n, 12), np.uint8)
+    lines[:, :2] = np.frombuffer(b"0.", np.uint8)
+    lines[:, 2:11] = np.random.default_rng(seed).integers(48, 58, (n, 9), dtype=np.uint8)
+    lines[:, 11] = 10
+    path.write_bytes(lines.tobytes())
+
+
+class TestStreamingRelease:
+    """A release folds each chunk into (count, bounds check, exact partials)
+    as it is read; it holds no array of the whole file."""
+
+    ARGV = ESTIMATE_HEAD + ["--lower", "0", "--upper", "1", "--epsilon", "0.5"]
+
+    def test_memory_does_not_grow_with_n(self, tmp_path, capsys):
+        paths = []
+        for n in (100_000, 400_000):
+            paths.append(tmp_path / f"values{n}.txt")
+            write_fixed_width(paths[-1], n, seed=n)
+        assert main(self.ARGV + ["--input", str(paths[0])]) == 0  # imports and caches settle
+        rises = []
+        for path in paths:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert main(self.ARGV + ["--input", str(path)]) == 0
+                rises.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        # an array of the whole file would add 8 bytes a value, 2.4 MB here
+        assert abs(rises[1] - rises[0]) < 0.5e6
+
+    @pytest.mark.parametrize("cap", [0, 5, cli._PARTIALS])
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 150_000),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+        lower=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+        width=st.floats(1e-6, 1e6),
+        skew=st.integers(1, 60),
+    )
+    def test_chunking_moves_no_bit(self, monkeypatch, cap, seed, size, cuts, lower, width, skew):
+        # cap 0 and 5 merge the partials after (nearly) every chunk
+        monkeypatch.setattr(cli, "_PARTIALS", cap)
+        upper = lower + width
+        rng = np.random.default_rng(seed)
+        # skewed toward lower, so the terms span many exponents
+        values = np.clip(lower + rng.random(size) ** skew * (upper - lower), lower, upper)
+        values[rng.random(size) < 0.01] = upper
+        chunks = np.split(values, sorted(int(c * size) for c in cuts))
+        n, partials, outside = cli._fold(chunks, lower, upper)
+        assert (n, outside) == (size, None)
+        assert math.fsum(partials).hex() == BoundedDataset(values, lower, upper).scaled_total.hex()
+
+    @pytest.mark.parametrize("mechanism", [m.value for m in Mechanism])
+    @pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (-3.0, 7.5)])
+    def test_release_equals_run_mechanism_on_the_whole_dataset(self, tmp_path, capsys, mechanism, lower, upper):
+        # The reference is the release before the fold: the file's values as
+        # one BoundedDataset, and run_mechanism on a stream of the same seed.
+        # Fixed-width, 17-digit and ragged lines over several chunks, and an
+        # empty file.
+        values = np.random.default_rng(5).uniform(0, 1, 30_000).tolist()
+        lines = [f"{v:.9f}" for v in values[:20_000]] + [repr(v) for v in values[20_000:25_000]]
+        lines += [f"{v:.6f}".rstrip("0") for v in values[25_000:]]
+        for text in ("".join(line + "\n" for line in lines), ""):
+            path = tmp_path / "values.txt"
+            path.write_text(text)
+            code, out, _ = run(
+                ["estimate", "--input", str(path), f"--lower={lower}", f"--upper={upper}",
+                 "--epsilon", "0.5", "--mechanism", mechanism, "--seed", "123"],
+                capsys,
+            )
+            assert code == 0
+            d = BoundedDataset([float(line) for line in text.split()], lower, upper)
+            expected = run_mechanism(d, PrivacyBudget(0.5), Mechanism(mechanism), RandomStream(123, 0))
+            assert json.loads(out)["estimate"] == expected.value
 
 
 class TestBounds:
@@ -712,11 +804,12 @@ class TestFigures:
             {"mechanisms": []},
             {"epsilons": []},
             {"dataset_specs": []},
+            {"epsilons": [0.5, 5e-324]},  # a valid epsilon whose Laplace scale overflows
             None,  # a non-object root
         ],
         ids=["trials-float", "trials-bool", "seed-float", "seed-bool", "epsilon-str",
              "epsilon-bool", "size-float", "size-bool", "lower_bound_family",
-             "mechanisms-empty", "epsilons-empty", "specs-empty", "root-list"],
+             "mechanisms-empty", "epsilons-empty", "specs-empty", "laplace-scale", "root-list"],
     )
     def test_malformed_config_rejected(self, tmp_path, edit, capsys):
         config = {

@@ -350,6 +350,17 @@ class TestSweep:
         for name, digest in FIG2C_SHA256.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "mechanism, epsilon, bounds",
+        [("transformed", 5e-324, (0.0, 1.0)), ("shifted", 0.5, (0.0, 1e308)), ("independent", 0.5, (-1e308, 1e307))],
+    )
+    def test_overflowing_laplace_scale_rejected_at_construction(self, mechanism, epsilon, bounds):
+        # the infinite noise made every ratio NaN, which clips to the midpoint
+        # of the bounds: a two-point spec of mean 0.5 reported an MSE of 0
+        spec = DatasetSpec(DatasetKind.TWO_POINT, 30, sum(bounds) / 2, bounds)
+        with pytest.raises(ValueError, match="Laplace scale must be positive and finite"):
+            ExperimentConfig((mechanism,), (0.5, epsilon), (spec,), 10, 1)
+
     @pytest.mark.parametrize("field", ["mechanisms", "epsilons", "dataset_specs"])
     def test_empty_axis_rejected(self, field):
         with pytest.raises(ValueError, match="a sweep needs at least one"):
@@ -458,6 +469,12 @@ class TestWorstCaseFamily:
     def test_k_validated(self):
         with pytest.raises(ValueError):
             worst_case_over_family(Mechanism.TRANSFORMED, EPS, 100, 0, 10, 1)
+
+    @pytest.mark.parametrize("mech", list(Mechanism))
+    def test_overflowing_laplace_scale_rejected(self, mech):
+        # infinite noise clipped every estimate to the midpoint: a worst case of 16.0
+        with pytest.raises(ValueError, match="Laplace scale must be positive and finite"):
+            worst_case_over_family(mech, PrivacyBudget(5e-324), 10, 2, 5, 1)
 
     @pytest.mark.parametrize("mech", [Mechanism.TRANSFORMED, GEOMETRIC_COUNT])
     @pytest.mark.parametrize("trials", [0, 10.5, True])

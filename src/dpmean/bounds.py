@@ -23,6 +23,16 @@ from .mechanisms import (
 from .noise import check_count
 
 
+def _over_n_eps_squared(x: float, n: int, eps: float) -> float:
+    """x / (n**2 * eps**2), that expression bit for bit wherever eps**2 is
+    finite, that is for eps < 2^512.  A larger eps is first scaled into
+    [1, 2) by an exact 2^-k, and the quotient by 2^-2k after, so the bound
+    rounds to a small double or 0.0 where eps**2 would overflow and raise."""
+    e = math.frexp(eps)[1]
+    k = e - 1 if e > 512 else 0
+    return math.ldexp(x / (n**2 * math.ldexp(eps, -k) ** 2), -2 * k)
+
+
 def minmax_leading(eps: float, lower: float, upper: float) -> float:
     """2(u-l)^2/eps^2, the leading worst-case normalized MSE.
 
@@ -34,7 +44,7 @@ def minmax_leading(eps: float, lower: float, upper: float) -> float:
     """
     PrivacyBudget(eps)
     check_bounds(lower, upper)
-    return 2.0 * (upper - lower) ** 2 / eps**2
+    return _over_n_eps_squared(2.0 * (upper - lower) ** 2, 1, eps)
 
 
 # The three figures coincide; each name keeps the statement it makes.
@@ -61,7 +71,7 @@ def transformed_mse_bound_from_stats(
         raise ValueError(f"mean {mean} outside bounds [{lower}, {upper}]")
     w = upper - lower
     m = (lower + upper) / 2.0
-    return (w**2 + 4.0 * (mean - m) ** 2) / (n**2 * eps**2)
+    return _over_n_eps_squared(w**2 + 4.0 * (mean - m) ** 2, n, eps)
 
 
 def transformed_mse_bound_leading(d: BoundedDataset, eps: PrivacyBudget) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import functools
 import io
 import itertools
 import json
@@ -131,31 +132,48 @@ def _exact(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray) -> tuple[np.ndar
     return exact, np.where(dots == 1, (s - f) // 10 + f, s) / p
 
 
+@functools.lru_cache(maxsize=4)
+def _layout(width: int, dot: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.int64]:
+    """For ``rows`` lines of ``width`` bytes with the dot in column ``dot``
+    (or none, -1): the byte each column XORs with and the most the result
+    may be, both tiled over the rows; the column weights; the power 10^k.
+    A byte passes only if it is the character its column requires: XOR
+    with "0" leaves a digit 0-9, XOR with the newline or the dot leaves 0."""
+    template, limit = np.full(width, ord("0"), np.uint8), np.full(width, 9, np.uint8)
+    template[-1], limit[-1] = ord("\n"), 0
+    if dot >= 0:
+        template[dot], limit[dot] = ord("."), 0
+    weights = np.zeros(width)  # the newline and the dot weigh 0
+    columns = [j for j in range(width - 1) if j != dot]
+    weights[columns] = _WEIGHTS[_ROW - len(columns):]
+    template, limit = np.tile(template, rows), np.tile(limit, rows)
+    for shared in (template, limit, weights):
+        shared.flags.writeable = False
+    return template, limit, weights, _POWERS[width - 2 - dot if dot >= 0 else 0]
+
+
 def _fixed(data, end: int) -> np.ndarray | None:
     """The values of the lines ``data[_ROW:end]`` if all are exact and of
     the first line's length with its dot column (or none); None otherwise."""
     width = data.find(b"\n", _ROW, end) + 1 - _ROW  # a line and its newline
-    n, rest = divmod(end - _ROW, width)
+    size = end - _ROW
+    n, rest = divmod(size, width)
     dot = data.find(b".", _ROW, _ROW + width)
     dot = dot - _ROW if dot >= 0 else -1
     if rest or not 1 <= width - 1 - (dot >= 0) <= 14:
         return None
-    rows = np.frombuffer(data, np.uint8, end - _ROW, _ROW).reshape(n, width)
-    digits = rows - np.uint8(48)
-    # With a newline ending every row, the rows are the lines; with the dot
-    # column all dots and no other byte but a digit, every line is exact.
-    if not (
-        (rows[:, -1] == 10).all()
-        and (dot < 0 or (rows[:, dot] == 46).all())
-        and np.count_nonzero(digits > 9) == n * (1 + (dot >= 0))
-    ):
+    # A read of _CHUNK bytes after an unfinished line holds at most
+    # _CHUNK // width + 1 lines; a longer block gets a layout of its own.
+    template, limit, weights, power = _layout(width, dot, max(n, _CHUNK // width + 1))
+    # One pass checks every byte: with a newline ending every row, the rows
+    # are the lines, and with the dot column all dots and the others all
+    # digits, every line is exact.  The bytes left are the digits.
+    digits = np.frombuffer(data, np.uint8, size, _ROW) ^ template[:size]
+    if (digits > limit[:size]).any():
         return None
-    weights = np.zeros(width)  # the newline and the dot weigh 0
-    columns = [j for j in range(width - 1) if j != dot]
-    weights[columns] = _WEIGHTS[_ROW - len(columns):]
     # Each M is an integer below 10^14 < 2^53, exact in any summation order,
     # so one matrix-vector product gives every M of the block.
-    return (digits @ weights) / _POWERS[width - 2 - dot if dot >= 0 else 0]
+    return (digits.reshape(n, width) @ weights) / power
 
 
 def _parse(data, end: int) -> np.ndarray:

@@ -74,10 +74,8 @@ def check_bounds(lower: float, upper: float) -> None:
         )
 
 
-#: Terms per block of ``scaled_partials``, and the mask that
-#: clears the low 27 of a double's 52 mantissa bits.
+#: Terms per block of ``scaled_partials``.
 _SUM_BLOCK = 1 << 16
-_HEAD_MASK = ~((1 << 27) - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,34 +145,46 @@ class BoundedDataset:
 def scaled_partials(values: np.ndarray, lower: float, width: float) -> list[float]:
     """Exact partial sums of the terms (values - lower) / width, whose fsum
     is fsum of the terms, bit for bit, however the values are split between
-    calls (Demmel & Hida, SIAM J. Sci. Comput. 2003).
+    calls.
 
-    Each block of at most 2^16 terms is split by IEEE exponent field e.
-    A term x of bin e is an integer multiple of u = 2^(max(e, 1) - 1075)
-    below 2^53 u in magnitude.  Its head, x with the low 27 mantissa bits
-    cleared, is a multiple of 2^27 u below 2^53 u; its tail x - head is
-    exact and a multiple of u below 2^27 u.  So every running sum of at
-    most 2^16 heads (or tails) of one bin is a multiple of one power of
-    two below 2^53 of those units: it is exact in float64, in any order,
-    and bincount's per-bin sums are exact.  fsum of exact partials is the
-    correctly rounded total, which is what fsum of the terms returns.
-    Zero terms and zero bins add nothing, so both drop them.  The terms
-    are nonnegative (a value -0.0 at lower = 0.0 gives -0.0, whose sign
-    bit the exponent mask drops) and their total is finite, so no bin can
-    overflow: true of terms in [0, 1], and of partials this returned, read
-    at lower 0 and width 1, which merges them into at most two per bin.
+    Each block of at most 2^16 terms is summed by error-free extraction
+    (``ExtractVector``; Rump, Ogita & Oishi, "Accurate Floating-Point
+    Summation Part I", SIAM J. Sci. Comput. 31(1), 2008).  With every
+    |x| < 2^e, take sigma = 2^(e+16).  Then head = fl(x + sigma) - sigma is
+    exact, a multiple of 2^-53 sigma and at most 2^e in magnitude, and
+    x - head, the rounding error of x + sigma, is exact and at most
+    2^-53 sigma = 2^(e-37).  So every running sum of at most 2^16 heads is
+    a multiple of 2^-53 sigma of at most sigma in magnitude: it is exact in
+    float64, in any order, and ``head.sum()`` is an exact partial.  The
+    remainders are extracted again at sigma 2^-37, until none is left; at
+    sigma below 2^-1021 the addition itself is exact and leaves none.  fsum
+    of exact partials is the correctly rounded total, which is what fsum of
+    the terms returns.  Zero partials add nothing and are dropped, so
+    all-zero terms, -0.0 among them, give none.  The terms must be finite
+    and below 2^1007 in magnitude, so that sigma is: true of terms in
+    [0, 1], and of partials this returned, read at lower 0 and width 1,
+    which merges them into a few.
     """
     partials = []
     for start in range(0, len(values), _SUM_BLOCK):
         x = values[start : start + _SUM_BLOCK] - lower
-        x /= width
-        bits = x.view(np.int64)
-        exponent = (bits >> 52) & 0x7FF
-        head = (bits & _HEAD_MASK).view(np.float64)
-        x -= head  # the tail, exactly
-        for part in (head, x):
-            sums = np.bincount(exponent, weights=part)
-            partials += sums[sums != 0].tolist()
+        if width != 1.0:  # x / 1.0 is x
+            x /= width
+        top = max(x.max(), -x.min())
+        if not top:
+            continue
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + 16)
+        head = np.empty_like(x)
+        while True:
+            np.add(x, sigma, out=head)
+            head -= sigma
+            x -= head  # the remainder, exactly
+            total = float(head.sum())
+            if total:
+                partials.append(total)
+            if not x.any():
+                break
+            sigma *= 2.0**-37
     return partials
 
 

@@ -15,6 +15,7 @@ from dpmean.bounds import (
     geometric_count_variance,
     lower_bound_leading,
     mechanism_mse_bound,
+    minmax_leading,
     shifted_mse_bound_from_stats,
     swap_minmax_leading,
     transformed_mse_bound_from_stats,
@@ -134,6 +135,48 @@ class TestPerDatasetBounds:
         for bound in (transformed_mse_bound_from_stats, shifted_mse_bound_from_stats):
             with pytest.raises(ValueError, match="outside bounds"):
                 bound(1000, mean, 0.5, 0.0, 1.0)
+
+
+class TestLargeEpsilon:
+    """The bounds divide by eps**2, which overflows for eps >= 2^512."""
+
+    EPSILONS = [*np.geomspace(1e-150, 1e150, 601).tolist(), 0.1, 0.5, 1.0, 2.0**511, 1.3e154]
+    BOUNDS = [(0.0, 1.0), (-3.0, 7.5), (0.0, 1e100), (1e-5, 2e-5)]
+
+    @staticmethod
+    def plain(f):
+        """f(), or None where f raises an ArithmeticError."""
+        try:
+            return f()
+        except ArithmeticError:
+            return None
+
+    def test_bits_of_the_plain_expression_where_it_is_finite(self):
+        compared = 0
+        for eps in self.EPSILONS:
+            for lo, hi in self.BOUNDS:
+                w, m = hi - lo, (lo + hi) / 2.0
+                old = self.plain(lambda: 2.0 * w**2 / eps**2)
+                if old is not None and math.isfinite(old):
+                    assert minmax_leading(eps, lo, hi).hex() == old.hex()
+                    compared += 1
+                for n, mean in ((1, lo), (7, m), (1000, hi), (10**9, lo + w / 3.0)):
+                    old = self.plain(lambda: (w**2 + 4.0 * (mean - m) ** 2) / (n**2 * eps**2))
+                    if old is not None and math.isfinite(old):
+                        assert transformed_mse_bound_from_stats(n, mean, eps, lo, hi).hex() == old.hex()
+                        compared += 1
+        assert compared > 5000
+
+    @pytest.mark.parametrize("eps", [2.0**512, 1e200, 1e300, 1.7976931348623157e308])
+    def test_an_overflowing_square_gives_a_tiny_bound(self, eps):
+        assert 0.0 <= minmax_leading(eps, 0.0, 1.0) < 2.0**-1000
+        assert 0.0 <= transformed_mse_bound_from_stats(1000, 0.5, eps, 0.0, 1.0) < 2.0**-1000
+
+    def test_an_overflowing_square_is_rescaled_exactly(self):
+        # (2^500)^2 and (2^600)^2 are powers of two, so the bounds are too
+        assert minmax_leading(2.0**600, 0.0, 2.0**500) == 2.0**-199
+        assert transformed_mse_bound_from_stats(2, 2.0**499, 2.0**600, 0.0, 2.0**500) == 2.0**-202
+        assert minmax_leading(2.0**512, 0.0, 1.0) == 2.0**-1023
 
 
 class TestGeometricCountVariance:

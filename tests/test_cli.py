@@ -468,8 +468,19 @@ class TestFixedWidth:
             BASE[:10] + ["0.1234\x7f6789"] + BASE[10:],
             ["0.12345678901234"] * 20,
             [""] + BASE,
+            # the bytes either side of the digits, a digit where the dot
+            # belongs, a carriage return where the last digit belongs, and
+            # a digit where a newline belongs: one line two rows long
+            BASE[:10] + ["0.1234/6789"] + BASE[10:],
+            BASE[:10] + ["0.1234:6789"] + BASE[10:],
+            BASE[:10] + ["00123456789"] + BASE[10:],
+            BASE[:10] + ["0.12345678\r"] + BASE[10:],
+            BASE[:10] + ["0.1234567891" + "0.123456789"] + BASE[10:],
         ],
-        ids=["longer", "shorter", "dot-moved", "second-dot", "space", "plus", "del", "15-digits", "blank-first"],
+        ids=[
+            "longer", "shorter", "dot-moved", "second-dot", "space", "plus", "del", "15-digits", "blank-first",
+            "slash", "colon", "digit-in-dot-column", "cr", "two-rows",
+        ],
     )
     def test_near_misses_fall_back(self, tmp_path, lines):
         block = "".join(line + "\n" for line in lines)
@@ -478,6 +489,24 @@ class TestFixedWidth:
         path = tmp_path / "values.txt"
         path.write_text(block)
         assert read_outcome(path) == float_outcome(lines)
+
+    @pytest.mark.parametrize("chunk", [*TINY_CHUNKS, cli._CHUNK])
+    @pytest.mark.parametrize("last, exact", [("0.987654321", True), ("0.98765432:", False)], ids=["digits", "colon"])
+    def test_more_lines_than_the_cached_layout(self, monkeypatch, chunk, last, exact):
+        # The layout for _CHUNK-sized reads is cached first; a block with
+        # more lines still has every byte checked, the last line's too.
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        small = "".join(f"{x:.9f}\n" for x in rng.uniform(0, 1, 3))
+        data = (" " * cli._ROW + small).encode()
+        assert cli._fixed(data, len(data)).tolist() == [float(x) for x in small.split()]
+        lines = [f"{x:.9f}" for x in rng.uniform(0, 1, 2 * (chunk // 12) + 5)] + [last]
+        data = (" " * cli._ROW + "".join(line + "\n" for line in lines)).encode()
+        values = cli._fixed(data, len(data))
+        if exact:
+            assert values.tobytes() == np.array([float(line) for line in lines]).tobytes()
+        else:
+            assert values is None
 
     def test_a_savetxt_file_calls_neither_float_nor_the_general_pass(self, tmp_path, monkeypatch):
         # three chunks at the default size, each of whole %.9f lines
@@ -657,6 +686,17 @@ class TestBounds:
         )
         assert code == 0
         assert "8e-06" in out and "4e-06" in out
+
+    @pytest.mark.parametrize(
+        "argv, zeros",
+        [(["--epsilon", "1e300"], 4), (["--epsilon", "1e200", "--n", "1000", "--mean", "0.5"], 8)],
+        ids=["1e300", "1e200-per-dataset"],
+    )
+    def test_a_huge_epsilon_prints_zero_bounds(self, argv, zeros, capsys):
+        # eps**2 overflows, but every bound, about 1/eps^2, rounds to 0.0
+        code, out, err = run(["bounds", *argv, "--lower", "0", "--upper", "1"], capsys)
+        assert code == 0 and err == ""
+        assert out.count(" 0.0\n") == zeros
 
     def test_zero_epsilon_rejected(self, capsys):
         code, _, err = run(["bounds", "--epsilon", "0", "--lower", "0", "--upper", "1"], capsys)

@@ -20,6 +20,7 @@ from dpmean.mechanisms import (
     estimate_transformed,
     mechanism_plan,
     run_mechanism,
+    scaled_partials,
     true_mean,
 )
 from dpmean.noise import RandomStream
@@ -215,6 +216,38 @@ class TestScaledTotal:
         d = BoundedDataset(values, 0.0, 1.0)
         assert d.scaled_total == 1.5 + 2.0**-52
         self.assert_equals_fsum(values, 0.0, 1.0)
+
+    @pytest.mark.parametrize("term", [1.0, np.nextafter(1.0, 0.0)], ids=["one", "below-one"])
+    def test_a_full_block_of_one_term(self, term):
+        # the sum of one extraction level at its limit: 2^16 heads of 2^e
+        self.assert_equals_fsum(np.full(_SUM_BLOCK, term), 0.0, 1.0)
+
+    def test_terms_from_the_least_subnormal_to_one(self):
+        # every exponent once, so the remainders reach every level
+        rng = np.random.default_rng(3)
+        exponents = np.arange(-1074, 1)
+        values = np.ldexp(rng.uniform(0.5, 1.0, len(exponents)), exponents)
+        values[[0, -1]] = 2.0**-1074, 1.0
+        self.assert_equals_fsum(rng.permutation(values), 0.0, 1.0)
+
+    def test_the_least_subnormal_rounds_the_total_up(self):
+        # 1 + 2^-53 is a tie that rounds to even, 1.0; the 2^-1074 after it
+        # breaks the tie upward
+        values = np.array([1.0, 2.0**-53, 2.0**-1074])
+        assert BoundedDataset(values, 0.0, 1.0).scaled_total == 1.0 + 2.0**-52
+        self.assert_equals_fsum(values, 0.0, 1.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_partials_above_two_to_the_37_merge_exactly(self, seed):
+        # read at lower 0 and width 1 the partials are the terms themselves,
+        # of either sign and far above the terms' own range
+        rng = np.random.default_rng(seed)
+        exponents = rng.integers(-80, 61, 500)
+        partials = np.ldexp(rng.uniform(0.5, 1.0, 500), exponents) * rng.choice([-1.0, 1.0], 500)
+        partials[:3] = 2.0**60, 2.0**37 + 1.0, 3.0 * 2.0**38
+        merged = scaled_partials(partials, 0.0, 1.0)
+        assert math.fsum(merged).hex() == math.fsum(partials.tolist()).hex()
+        assert len(merged) < 10
 
 
 class TestClip:

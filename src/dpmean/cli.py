@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 validation error, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import io
 import itertools
@@ -107,9 +106,10 @@ def _exact(buf: np.ndarray, ends: np.ndarray, lens: np.ndarray) -> tuple[np.ndar
     """Which lines of ``buf``, of lengths ``lens`` and ending at the newlines
     at ``ends``, take the exact path, and the value of each that does."""
     # Row i is the _ROW bytes before newline i, so line i ends it; those of
-    # earlier lines read as the digit 0.
-    windows = np.lib.stride_tricks.sliding_window_view(buf, _ROW).view(f"V{_ROW}")
-    digits = windows[ends - _ROW].view(np.uint8) - np.uint8(48)
+    # earlier lines, or of the padding before buf, read as the digit 0.
+    padded = np.concatenate((np.zeros(_ROW, np.uint8), buf))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, _ROW).view(f"V{_ROW}")
+    digits = windows[ends].view(np.uint8) - np.uint8(48)
     digits &= _KEEP.take(np.minimum(lens, _ROW), axis=0)
     dot = digits == 254  # "." - "0" wraps round
     other = digits > 9
@@ -153,23 +153,21 @@ def _layout(width: int, dot: int, rows: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _fixed(data, end: int) -> np.ndarray | None:
-    """The values of the lines ``data[_ROW:end]`` if all are exact and of
-    the first line's length with its dot column (or none); None otherwise."""
-    width = data.find(b"\n", _ROW, end) + 1 - _ROW  # a line and its newline
-    size = end - _ROW
-    n, rest = divmod(size, width)
-    dot = data.find(b".", _ROW, _ROW + width)
-    dot = dot - _ROW if dot >= 0 else -1
-    if rest or not 1 <= width - 1 - (dot >= 0) <= 14:
+    """The values of the lines ``data[:end]`` if all are exact and of the
+    first line's length with its dot column (or none); None otherwise."""
+    width = data.find(b"\n", 0, end) + 1  # a line and its newline
+    dot = data.find(b".", 0, width)
+    if not 1 <= width - 1 - (dot >= 0) <= 14 or end % width:
         return None
+    n = end // width
     # A read of _CHUNK bytes after an unfinished line holds at most
     # _CHUNK // width + 1 lines; a longer block gets a layout of its own.
     template, limit, weights, power = _layout(width, dot, max(n, _CHUNK // width + 1))
     # One pass checks every byte: with a newline ending every row, the rows
     # are the lines, and with the dot column all dots and the others all
     # digits, every line is exact.  The bytes left are the digits.
-    digits = np.frombuffer(data, np.uint8, size, _ROW) ^ template[:size]
-    if (digits > limit[:size]).any():
+    digits = np.frombuffer(data, np.uint8, end) ^ template[:end]
+    if (digits > limit[:end]).any():
         return None
     # Each M is an integer below 10^14 < 2^53, exact in any summation order,
     # so one matrix-vector product gives every M of the block.
@@ -177,13 +175,24 @@ def _fixed(data, end: int) -> np.ndarray | None:
 
 
 def _parse(data, end: int) -> np.ndarray:
-    """``float`` of each stripped non-blank line of ``data[_ROW:end]``, ASCII
-    lines that each end in a newline, in order, as float64.  The ``_ROW``
-    bytes before them are room for the windows of ``_exact``."""
-    # The array pass beats float only where 7 lines in 8 or more are exact.
+    """``float`` of each stripped non-blank line of ``data[:end]``, ASCII
+    lines that each end in a newline, in order, as float64.
+
+    A line of 1-14 ASCII digits with at most one ``.`` and nothing else, no
+    sign, exponent, ``_`` or padding, takes an exact path in array passes.
+    It is an integer M < 10^14 over 10^k, k <= 14, both exact doubles, so the
+    one correctly rounded division M / 10^k is ``float``'s own result, bit
+    for bit (Clinger's fast path).  A block whose lines share one length
+    and one dot column (or have none) is converted as a reshape of its bytes,
+    with one power 10^k; the syntax accepted and the bits are the same.
+    Every other line goes through ``float`` in file order, so the syntax
+    accepted, the line numbers and the messages are those of ``float`` on
+    each line.  The array pass pays only where nearly every line is exact,
+    so a block takes it only if at least 7 lines in 8 are exact; any other
+    block goes through ``float`` whole."""
     # The complete lines of the head screen a block for that at little cost:
     # exact lines are at most 15 characters and hold only digits and a dot.
-    head = data[_ROW:min(end, _ROW + _PROBE)]
+    head = data[:min(end, _PROBE)]
     head = head[:head.rfind(b"\n") + 1]
     lines = head.count(b"\n")
     if len(head) <= _ROW * lines and 8 * len(head.translate(None, b"0123456789.\n")) <= lines:
@@ -192,7 +201,7 @@ def _parse(data, end: int) -> np.ndarray:
             return values
         buf = np.frombuffer(data, np.uint8, end)
         ends = np.flatnonzero(buf == 10)
-        lens = np.diff(ends, prepend=_ROW - 1) - 1
+        lens = np.diff(ends, prepend=-1) - 1
         exact, values = _exact(buf, ends, lens)
         if exact.all():
             return values
@@ -202,51 +211,40 @@ def _parse(data, end: int) -> np.ndarray:
             filled = np.fromiter(map(bool, texts), dtype=bool, count=len(texts))
             values[slow[filled]] = _floats(texts)
             return np.delete(values, slow[~filled])
-    return _floats(str(data[_ROW:end], "ascii").split("\n"))
+    return _floats(str(data[:end], "ascii").split("\n"))
 
 
-def _parse_text(block: str) -> np.ndarray:
-    """``_parse`` of ``block``, decoded text whose every line ends in a
-    newline; a block with a non-ASCII character goes through ``float``."""
-    if block.isascii():
-        data = (" " * _ROW + block).encode("ascii")
+def _block(buf, cut: int, encoding: str) -> np.ndarray:
+    """The values of ``buf[:cut]``, whole lines in ``encoding``."""
+    if buf.find(b"\r", 0, cut) < 0 and np.frombuffer(buf, np.uint8, cut).max() < 0x80:
+        return _parse(buf, cut)
+    text = io.IncrementalNewlineDecoder(None, translate=True).decode(str(buf[:cut], encoding), final=True)
+    if text.isascii():
+        data = text.encode("ascii")
         return _parse(data, len(data))
-    return _floats(block.split("\n"))
+    return _floats(text.split("\n"))
 
 
 def _chunks(path: str):
     """The values of a file, ``float`` of each stripped non-blank line, as
-    float64, one array per read of at most ``_CHUNK`` bytes, in file order.
-    A file with no such line gives no values: the empty dataset releases
-    like any other.
+    float64, one array per block of whole lines, in file order.  A file
+    with no such line gives no values: the empty dataset releases like any
+    other.
 
-    The bytes of a read that are all ASCII and hold no carriage return,
-    after an ASCII unfinished line and while the decoder holds no part of a
-    character or line ending, are their own text in the locale's encoding,
-    as ASCII is in every locale's, and are parsed where they lie in the
-    read buffer.  Every other read is decoded by text mode's own decoder,
-    which ends lines as text mode does, and is parsed as text.  The
-    unfinished last line of a read opens the next.
-
-    A line of 1-14 ASCII digits with at most one ``.`` and nothing else, no
-    sign, exponent, ``_`` or padding, takes an exact path in array passes.
-    It is an integer M < 10^14 over 10^k, k <= 14, both exact doubles, so the
-    one correctly rounded division M / 10^k is ``float``'s own result, bit
-    for bit (Clinger's fast path).  A chunk whose lines share one length
-    and one dot column (or have none) is converted as a reshape of its bytes,
-    with one power 10^k; the syntax accepted and the bits are the same.
-    Every other line, and every line of a chunk with a non-ASCII character,
-    goes through ``float`` in file order.
-    So the syntax accepted, the line numbers and the messages are those of
-    ``float`` on each line.  The array pass pays only where nearly every line
-    is exact, so a chunk takes it only if at least 7 lines in 8 are exact;
-    any other chunk goes through ``float`` whole."""
+    The unfinished line of each read opens the next, and each read of at
+    most ``_CHUNK`` bytes is cut after its last ``\n``, or after its last
+    ``\r`` if it holds no ``\n``; the file's last line needs no line end.
+    A block of whole lines with no ``\r`` and only ASCII bytes is its own
+    text, and is parsed where it lies in the read buffer.  Any other block
+    is decoded on its own as text mode decodes it, ``\r\n`` and ``\r`` as
+    ``\n``; one with a non-ASCII character goes through ``float`` whole.
+    Decoding block by block is exact because the locale's encoding is
+    ASCII-compatible and no multibyte character of it holds a ``\n`` or
+    ``\r`` byte, so a cut never splits a character; a ``\r\n`` pair split
+    by a ``\r`` cut adds only a blank line, which holds no value."""
     try:
         with open(path) as f:  # text mode, for the locale's encoding
-            decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder(f.encoding)(), translate=True)
-            # The unfinished line is buf[_ROW:start], after _ROW bytes of
-            # room for _exact's windows, or it is text when not ASCII.
-            buf, start, text = bytearray(b" " * _ROW + bytes(_CHUNK)), _ROW, None
+            buf, start = bytearray(_CHUNK), 0  # buf[:start] is the unfinished line
             while True:
                 if start == len(buf):  # a line longer than the buffer
                     buf += bytes(_CHUNK)
@@ -254,31 +252,14 @@ def _chunks(path: str):
                 if not read:
                     break
                 end = start + read
-                if (
-                    text is None
-                    and decoder.getstate() == (b"", 0)
-                    and np.frombuffer(buf, np.uint8, read, start).max() < 0x80
-                    and buf.find(b"\r", start, end) < 0
-                ):
-                    cut = buf.rfind(b"\n", _ROW, end) + 1
-                    if not cut:
-                        start = end
-                        continue
-                    yield _parse(buf, cut)
-                    rest = buf[cut:end]
-                else:
-                    text = (str(buf[_ROW:start], "ascii") if text is None else text) + decoder.decode(buf[start:end])
-                    cut = text.rfind("\n") + 1
-                    if cut:
-                        yield _parse_text(text[:cut])
-                        text = text[cut:]
-                    rest, text = (text.encode("ascii"), None) if text.isascii() else (b"", text)
-                buf[_ROW:_ROW + len(rest)] = rest
-                start = _ROW + len(rest)
-            # A held \r ends a line; a held part of a character raises.
-            text = (str(buf[_ROW:start], "ascii") if text is None else text) + decoder.decode(b"", final=True)
-        if text:
-            yield _parse_text(text + "\n")
+                cut = buf.rfind(b"\n", 0, end) + 1 or buf.rfind(b"\r", 0, end) + 1
+                if cut:
+                    yield _block(buf, cut, f.encoding)
+                    buf[:end - cut] = buf[cut:end]
+                start = end - cut
+            if start:
+                buf[start:start + 1] = b"\n"
+                yield _block(buf, start + 1, f.encoding)
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         # Only a rejected file is read again in full, to report the error as
         # a whole-file read does and to number the offending line.

@@ -484,7 +484,7 @@ class TestFixedWidth:
     )
     def test_near_misses_fall_back(self, tmp_path, lines):
         block = "".join(line + "\n" for line in lines)
-        data = (" " * cli._ROW + block).encode()
+        data = block.encode()
         assert cli._fixed(data, len(data)) is None
         path = tmp_path / "values.txt"
         path.write_text(block)
@@ -498,10 +498,10 @@ class TestFixedWidth:
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         rng = np.random.default_rng(chunk)
         small = "".join(f"{x:.9f}\n" for x in rng.uniform(0, 1, 3))
-        data = (" " * cli._ROW + small).encode()
+        data = small.encode()
         assert cli._fixed(data, len(data)).tolist() == [float(x) for x in small.split()]
         lines = [f"{x:.9f}" for x in rng.uniform(0, 1, 2 * (chunk // 12) + 5)] + [last]
-        data = (" " * cli._ROW + "".join(line + "\n" for line in lines)).encode()
+        data = "".join(line + "\n" for line in lines).encode()
         values = cli._fixed(data, len(data))
         if exact:
             assert values.tobytes() == np.array([float(line) for line in lines]).tobytes()
@@ -582,12 +582,12 @@ class TestRejectedAcrossChunks:
         assert err == expected
 
 
-def write_fixed_width(path, n, seed):
+def write_fixed_width(path, n, seed, ending=b"\n"):
     """n lines "0.ddddddddd" of random digits, written as one array."""
-    lines = np.empty((n, 12), np.uint8)
+    lines = np.empty((n, 11 + len(ending)), np.uint8)
     lines[:, :2] = np.frombuffer(b"0.", np.uint8)
     lines[:, 2:11] = np.random.default_rng(seed).integers(48, 58, (n, 9), dtype=np.uint8)
-    lines[:, 11] = 10
+    lines[:, 11:] = np.frombuffer(ending, np.uint8)
     path.write_bytes(lines.tobytes())
 
 
@@ -597,11 +597,14 @@ class TestStreamingRelease:
 
     ARGV = ESTIMATE_HEAD + ["--lower", "0", "--upper", "1", "--epsilon", "0.5"]
 
-    def test_memory_does_not_grow_with_n(self, tmp_path, capsys):
+    # A read with no \n is cut at its last \r: a loop that cut only at \n
+    # would hold the whole of a CR-ended file.
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_memory_does_not_grow_with_n(self, tmp_path, capsys, ending):
         paths = []
         for n in (100_000, 400_000):
             paths.append(tmp_path / f"values{n}.txt")
-            write_fixed_width(paths[-1], n, seed=n)
+            write_fixed_width(paths[-1], n, seed=n, ending=ending)
         assert main(self.ARGV + ["--input", str(paths[0])]) == 0  # imports and caches settle
         rises = []
         for path in paths:

@@ -25,11 +25,17 @@ with more runs alone.  A single cell (``squared_errors``, ``estimate_mse``)
 is the one-row case.  Every sweep cell is a ``Mechanism``; only
 ``squared_errors`` and ``estimate_mse`` take a per-trial callable, and
 ``estimate_mse`` accepts and ignores ``workers``.
+
+``worst_case_over_family`` keeps the read-only uniforms of its last call
+(``_family_uniforms``), so calls in a row with equal (seed, k, trials),
+such as the geometric count and the three mechanisms at one epsilon, draw
+once, bit for bit as alone, and hold k * trials * 16 bytes between calls.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -166,10 +172,14 @@ class MseReport:
 _BATCH_TRIALS = 1 << 16
 
 
-def _batches(items, trials: int) -> list:
-    """Consecutive slices of ``items`` holding at most _BATCH_TRIALS trials
-    between them, ``trials`` per item (one item per slice at the least)."""
-    step = max(1, _BATCH_TRIALS // trials)
+def _batch_step(trials: int) -> int:
+    """Items per batch of ``trials`` trials each: as many as _BATCH_TRIALS
+    holds, one at the least."""
+    return max(1, _BATCH_TRIALS // trials)
+
+
+def _batches(items, step: int) -> list:
+    """Consecutive slices of ``items``, ``step`` items per slice."""
     return [items[i : i + step] for i in range(0, len(items), step)]
 
 
@@ -185,8 +195,10 @@ def _squared_error_rows(plan: MechanismPlan, datasets, seeds, trials: int) -> np
     """Squared errors (estimate - true mean)^2 of the plan, one C-contiguous
     row per dataset in trial order: row j draws its trials from seeds[j]."""
     s, n, mu = np.array([(d.scaled_total, float(len(d)), true_mean(d)) for d in datasets]).T[..., None]
-    err = _estimates(plan, s, n, trial_uniform_pairs(seeds, trials)) - mu
-    return err * err
+    err = _estimates(plan, s, n, trial_uniform_pairs(seeds, trials))
+    err -= mu
+    err *= err
+    return err
 
 
 def squared_errors(
@@ -271,7 +283,7 @@ def sweep(config: ExperimentConfig) -> list[MseReport]:
     reports: list[MseReport] = [None] * len(cells)
     for (mech, e, bounds), indices in groups.items():
         plan = config.plans[(mech, e, bounds)]
-        for batch in _batches(indices, config.trials):
+        for batch in _batches(indices, _batch_step(config.trials)):
             specs = [cells[i][2] for i in batch]
             seeds = [_derived_seed(config.seed, i) for i in batch]
             try:
@@ -317,16 +329,41 @@ def worst_case_over_family(
     geometric = mechanism == GEOMETRIC_COUNT
     alpha = GeometricParams(math.exp(-eps.epsilon)).alpha if geometric else None
     plan = None if geometric else mechanism_plan(mechanism, 0.0, 1.0, eps)  # members lie in [0, 1]
-    for members in _batches(range(1, k + 1), trials):
-        uniforms = trial_uniform_pairs([_derived_seed(seed, i - 1) for i in members], trials)
+    for members, uniforms in _family_uniforms(seed, k, trials, _batch_step(trials)):
         if geometric:
             err = two_sided_geometric_from_uniform(uniforms[0], alpha).astype(np.float64)
         else:  # member i holds i ones over n zeros: (s, n) = (i, n + i) exactly
             ones = np.array([float(i) for i in members])[:, None]
             sizes = np.array([float(n + i) for i in members])[:, None]
-            err = n * _estimates(plan, ones, sizes, uniforms) - ones
-        worst = max(worst, *(np.sum(err * err, axis=1) / trials).tolist())
+            err = _estimates(plan, ones, sizes, uniforms)
+            err *= n
+            err -= ones
+        err *= err
+        worst = max(worst, *(np.sum(err, axis=1) / trials).tolist())
     return worst
+
+
+@functools.lru_cache(maxsize=1)
+def _family_uniforms(seed: int, k: int, trials: int, step: int) -> tuple:
+    """``(members, (u_a, u_b))`` per batch of ``step`` family members 1..k,
+    member i's row drawn from the derived seed number i - 1, read-only.
+
+    The draws are a pure function of the four arguments, and the one entry
+    kept is keyed by all of them, so only calls in a row with equal (seed,
+    k, trials), such as the four at one epsilon, share a draw; a batch step
+    of its own splits the members afresh.  No row, seed or older call is
+    kept: a sequence of calls whose last k differs from its first, as the
+    script's epsilons 0.2 ... 1.0 do, draws anew each time it is repeated,
+    so a repeated run (a benchmark's pass pair among them) draws as much as
+    the first.
+    """
+    batches = []
+    for members in _batches(range(1, k + 1), step):
+        uniforms = trial_uniform_pairs([_derived_seed(seed, i - 1) for i in members], trials)
+        for u in uniforms:
+            u.flags.writeable = False
+        batches.append((members, uniforms))
+    return tuple(batches)
 
 
 # --- figure presets -------------------------------------------------------

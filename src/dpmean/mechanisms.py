@@ -305,8 +305,9 @@ def _clip(x, lo: float, hi: float):
     if lo > hi:
         raise ValueError(f"clip range is empty: [{lo}, {hi}]")
     x = np.asarray(x, dtype=np.float64)
-    below = np.where(hi < x, hi, x)
-    out = np.where(np.isnan(x), (lo + hi) / 2.0, np.where(below > lo, below, lo))
+    out = np.where(hi < x, hi, x)  # min(x, hi): x unless hi < x
+    np.putmask(out, out <= lo, lo)  # max(lo, .): lo unless . > lo; NaN stays
+    np.putmask(out, np.isnan(out), (lo + hi) / 2.0)
     return out if out.ndim else float(out)
 
 

@@ -148,10 +148,17 @@ def laplace_from_uniform(u, scale):
     x = -scale * sign(u - 1/2) * log(1 - 2|u - 1/2|).  Accepts scalars or
     arrays and evaluates elementwise with numpy's ``log1p`` either way, so
     ``laplace_sample`` (which calls this on one uniform) and an array
-    evaluation agree bit for bit.
+    evaluation agree bit for bit.  ``scale`` may be an array that broadcasts
+    to u's shape.  The steps run in place on two arrays, in the order of the
+    formula, so every bit is that of the formula, +0.0 at u = 1/2 included.
     """
-    t = np.asarray(u, dtype=np.float64) - 0.5
-    x = -scale * np.sign(t) * np.log1p(-2.0 * np.abs(t))
+    t = np.subtract(u, 0.5, out=np.empty(np.shape(u)))  # a 0-d array for a scalar u
+    x = np.sign(t)
+    x *= -scale
+    np.abs(t, out=t)
+    t *= -2.0
+    np.log1p(t, out=t)
+    x *= t
     return x if x.ndim else float(x)
 
 
@@ -191,11 +198,12 @@ def trial_uniform_pairs(seeds, trials: int) -> tuple[np.ndarray, np.ndarray]:
     per row draws them all; one cursor serves every row, moved to the row's
     stream by ``jump_to``, which skips the OS-entropy seeding that numpy
     gives each new Philox before its key.  Words 0 and 1 of each block
-    become doubles as ``Generator.random()`` makes them.  The rows share
-    only that conversion, which is elementwise, so a row's values depend on
-    no other row.  A trial whose block holds a zero uniform (probability
-    2^-53 per word) is drawn by its own cursor on its own row's seed
-    instead, which redraws exactly as ``uniform_open`` does.
+    become doubles as ``Generator.random()`` makes them, the top 53 bits
+    kept in one strided copy per row and scaled by 2^-53 in one pass.  The
+    rows share only that pass, which is elementwise, so a row's values
+    depend on no other row.  A trial whose block holds a zero uniform
+    (probability 2^-53 per word) is drawn by its own cursor on its own row's
+    seed instead, which redraws exactly as ``uniform_open`` does.
     """
     check_count("trials", trials)
     streams = [RandomStream(seed, 0) for seed in seeds]
@@ -205,13 +213,12 @@ def trial_uniform_pairs(seeds, trials: int) -> tuple[np.ndarray, np.ndarray]:
             cursor.jump_to(stream)
         else:
             cursor = Cursor(stream)
-        raw = cursor._bitgen.random_raw(4 * trials)
-        words[0, r], words[1, r] = raw[0::4], raw[1::4]
-    words >>= _SHIFT_DOUBLE
-    u = words.astype(np.float64)
-    u *= 2.0**-53
-    for k in np.flatnonzero((u[0] == 0.0) | (u[1] == 0.0)).tolist():
-        r, t = divmod(k, trials)
-        cursor = Cursor(streams[r], t)
-        u[:, r, t] = cursor.uniform_open(), cursor.uniform_open()
+        blocks = cursor._bitgen.random_raw(4 * trials).reshape(trials, 4)
+        np.right_shift(blocks[:, :2].T, _SHIFT_DOUBLE, out=words[:, r])
+    u = np.multiply(words, 2.0**-53)  # below 2^53, each word converts exactly
+    if not u.all():
+        for k in np.flatnonzero((u[0] == 0.0) | (u[1] == 0.0)).tolist():
+            r, t = divmod(k, trials)
+            cursor = Cursor(streams[r], t)
+            u[:, r, t] = cursor.uniform_open(), cursor.uniform_open()
     return u[0], u[1]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpmean.mechanisms import (
@@ -285,6 +285,10 @@ class TestClip:
         assert math.copysign(1.0, clip(0.0, -0.0, 1.0)) == -1.0
 
     @given(st.lists(any_noise, min_size=1, max_size=30), finite_noise, finite_noise)
+    @example([0.0], -0.0, 1.0)  # x = +0.0 at lo = -0.0
+    @example([-0.0], 0.0, 1.0)  # x = -0.0 at lo = +0.0
+    @example([0.0], -1.0, -0.0)  # x = +0.0 at hi = -0.0
+    @example([-0.0], -1.0, 0.0)  # x = -0.0 at hi = +0.0
     def test_array_matches_scalar_bitwise(self, xs, a, b):
         lo, hi = min(a, b), max(a, b)
         expected = [max(lo, min(x, hi)) if not math.isnan(x) else (lo + hi) / 2.0 for x in xs]

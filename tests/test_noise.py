@@ -117,6 +117,31 @@ class TestLaplaceTransform:
         xs = [float(laplace_from_uniform(u, 1.3)) for u in us]
         assert xs == sorted(xs)
 
+    @staticmethod
+    def reference(u, scale):
+        """The Laplace inverse CDF as one expression of fresh arrays."""
+        t = np.asarray(u, dtype=np.float64) - 0.5
+        x = -scale * np.sign(t) * np.log1p(-2.0 * np.abs(t))
+        return x if x.ndim else float(x)
+
+    def test_in_place_form_matches_reference_in_hex(self):
+        edges = [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 2.0**-53, 1.0 - 2.0**-53]
+        u = np.concatenate([Cursor(RandomStream(17, 0)).uniforms_open(100_000), edges])
+        u.flags.writeable = False  # the transform must not write its input
+        rows = u.reshape(5, -1)
+        scales = np.array([0.3, 1.0, 2.0, 7.5e3, 1e-300])[:, None]
+
+        def hexes(x):
+            return [float(v).hex() for v in np.ravel(x)]
+
+        for scale in (0.7, 2.0):
+            assert hexes(laplace_from_uniform(u, scale)) == hexes(self.reference(u, scale))
+        assert hexes(laplace_from_uniform(rows, scales)) == hexes(self.reference(rows, scales))
+        for v in edges:
+            got, want = laplace_from_uniform(float(v), 1.3), self.reference(float(v), 1.3)
+            assert type(got) is float and got.hex() == want.hex()
+        assert laplace_from_uniform(0.5, 1.0).hex() == "0x0.0p+0"  # +0.0, not -0.0
+
     def test_moments_over_million_draws(self):
         b = 1.5
         cursor = RandomStream(123, 0).cursor()

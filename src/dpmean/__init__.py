@@ -25,7 +25,6 @@ from .geometry import (
     SensitivitySegment,
     Transform2x2,
     ball_polygon,
-    covers_sensitivity,
     l1_sensitivity_under,
     transform_procedure_estimate,
 )

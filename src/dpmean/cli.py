@@ -30,7 +30,6 @@ from .geometry import (
     IDENTITY_TRANSFORM,
     UNIT_SEGMENT,
     ball_polygon,
-    covers_sensitivity,
     l1_sensitivity_under,
 )
 from .harness import (
@@ -423,9 +422,8 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     for name, transform, radius in balls:
         poly = ball_polygon(transform, radius)
         sens = l1_sensitivity_under(transform, UNIT_SEGMENT)
-        covered = covers_sensitivity(poly, UNIT_SEGMENT)
         verts = " ".join(f"({_fmt(x)},{_fmt(y)})" for x, y in poly.vertices)
-        print(f"  {name:<14} {_fmt(sens):<10} {str(covered):<7} {verts}")
+        print(f"  {name:<14} {_fmt(sens):<10} {str(sens <= radius):<7} {verts}")
         for idx, (x, y) in enumerate(poly.vertices):
             lines.append(f"{name},{idx},{_fmt(x)},{_fmt(y)}")
     out = Path(args.output) if args.output else Path("polygons.csv")

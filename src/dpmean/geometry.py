@@ -3,10 +3,11 @@
 Laplace noise on a linear change of coordinates G of the normalized
 (sum, count) is private at budget eps when the L1 ball of radius r (noise
 scale times eps) covers, after G, every difference +-(x, 1), x in [0, 1],
-between adjacent datasets' aggregates.  A ``mechanisms.MechanismPlan``
-derives its noise from G with ``l1_sensitivity_under``; this module exports
-the covering balls as polygons, checks their coverage, and runs a plan on
-any G.
+between adjacent datasets' aggregates.  That is one test,
+``l1_sensitivity_under(G, UNIT_SEGMENT) <= r``, and a
+``mechanisms.MechanismPlan`` derives its noise from the same sensitivity;
+this module exports the covering balls as polygons for plotting and runs a
+plan on any G.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .mechanisms import (  # noqa: F401  (re-exports: mechanisms owns coordinate
     l1_sensitivity_under,
 )
 
-_TOL = 1e-9  # a point this far outside an edge, in scaled cross-product units, is inside
-
 
 @dataclass(frozen=True)
 class BallPolygon:
@@ -48,20 +47,6 @@ class BallPolygon:
             if nx != -x or ny != -y:
                 raise ValueError("polygon is not centrally symmetric")
 
-    def contains(self, point: tuple[float, float]) -> bool:
-        """Half-plane test for a counterclockwise convex polygon; points on
-        the boundary count as inside (up to ``_TOL``)."""
-        px, py = point
-        verts = self.vertices
-        scale = max(1.0, max(abs(c) for v in verts for c in v))
-        for i in range(len(verts)):
-            ax, ay = verts[i]
-            bx, by = verts[(i + 1) % len(verts)]
-            cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-            if cross < -_TOL * scale:
-                return False
-        return True
-
 
 def ball_polygon(t: Transform2x2, radius: float) -> BallPolygon:
     """Preimage under T of the L1 ball of the given radius, as a CCW polygon.
@@ -76,21 +61,6 @@ def ball_polygon(t: Transform2x2, radius: float) -> BallPolygon:
     if t.determinant < 0:
         v = [v[0], v[3], v[2], v[1]]
     return BallPolygon(tuple(v))
-
-
-def covers_sensitivity(poly: BallPolygon, seg: SensitivitySegment) -> bool:
-    """True iff every +-(x, 1) with x in the segment lies inside the polygon.
-
-    Convexity of the polygon and linearity of the segment reduce the check
-    to the four segment endpoints.
-    """
-    points = [
-        (seg.x_lo, 1.0),
-        (seg.x_hi, 1.0),
-        (-seg.x_lo, -1.0),
-        (-seg.x_hi, -1.0),
-    ]
-    return all(poly.contains(p) for p in points)
 
 
 def transform_procedure_estimate(

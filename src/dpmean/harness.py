@@ -124,11 +124,12 @@ def generate_dataset(spec: DatasetSpec) -> BoundedDataset:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A sweep's axes, trials and seed.  Mechanisms may be named and the axes
-    given as any sequences; they are stored as tuples, values untouched.
-    ``plans`` maps each (mechanism, epsilon, bounds) of the cells, in the
-    first form of each in cell order, to its plan.  They are built here, so
-    an epsilon or a Laplace scale that a plan refuses is refused before any
-    cell runs."""
+    given as any sequences; they are stored as tuples, values untouched, and
+    the seed as a Python int (a NumPy integer seed would overflow in
+    ``_derived_seed``).  ``plans`` maps each (mechanism, epsilon, bounds) of
+    the cells, in the first form of each in cell order, to its plan.  They
+    are built here, so an epsilon or a Laplace scale that a plan refuses is
+    refused before any cell runs."""
 
     mechanisms: tuple[Mechanism, ...]
     epsilons: tuple[float, ...]
@@ -151,7 +152,7 @@ class ExperimentConfig:
         )
         plans = {key: mechanism_plan(key[0], *key[2], PrivacyBudget(key[1])) for key in keys}
         object.__setattr__(self, "plans", plans)  # not a field: no part of the config's record
-        check_uint64("seed", self.seed)
+        object.__setattr__(self, "seed", check_uint64("seed", self.seed))
 
 
 @dataclass(frozen=True)
@@ -323,7 +324,7 @@ def worst_case_over_family(
     """
     check_count("k", k)
     check_count("dataset size", n)
-    check_uint64("seed", seed)
+    seed = check_uint64("seed", seed)
     check_count("trials", trials)
     worst = -math.inf
     geometric = mechanism == GEOMETRIC_COUNT

@@ -259,17 +259,13 @@ UNIT_SEGMENT = SensitivitySegment(0.0, 1.0)
 def l1_sensitivity_under(t: Transform2x2, seg: SensitivitySegment) -> float:
     """Largest L1 norm of T(x, 1) over the segment.
 
-    The norm is a piecewise-linear convex function of x, so it suffices to
-    evaluate the endpoints plus the kinks where a transformed coordinate
-    crosses zero.
+    The norm |a11*x + a12| + |a21*x + a22| is a sum of absolute values of
+    affine functions of x, so it is convex, and a convex function on an
+    interval takes its maximum at an endpoint.  The norm is even, so the
+    ball of radius r covers every +-(x, 1) of the segment after T exactly
+    when this is at most r.
     """
-    candidates = [seg.x_lo, seg.x_hi]
-    for num, den in ((t.a12, t.a11), (t.a22, t.a21)):
-        if den != 0.0:
-            kink = -num / den
-            if seg.x_lo < kink < seg.x_hi:
-                candidates.append(kink)
-    return max(sum(map(abs, t.apply((x, 1.0)))) for x in candidates)
+    return max(sum(map(abs, t.apply((x, 1.0)))) for x in (seg.x_lo, seg.x_hi))
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,17 @@ from dpmean.geometry import (
     SensitivitySegment,
     Transform2x2,
     ball_polygon,
-    covers_sensitivity,
     l1_sensitivity_under,
     transform_procedure_estimate,
 )
 from dpmean.mechanisms import (
     BoundedDataset,
+    Mechanism,
     NoisePair,
     PrivacyBudget,
     estimate_shifted,
     estimate_transformed,
+    mechanism_plan,
     true_mean,
 )
 
@@ -39,6 +40,24 @@ def grid_sensitivity(t: Transform2x2, seg: SensitivitySegment, points: int = 200
         v1, v2 = t.apply((x, 1.0))
         best = max(best, abs(v1) + abs(v2))
     return best
+
+
+def interior_kinks(t: Transform2x2, seg: SensitivitySegment) -> list[float]:
+    """The x inside the segment where a coordinate of T(x, 1) crosses zero."""
+    kinks = []
+    for num, den in ((t.a12, t.a11), (t.a22, t.a21)):
+        if den != 0.0:
+            kink = -num / den
+            if seg.x_lo < kink < seg.x_hi:
+                kinks.append(kink)
+    return kinks
+
+
+def kink_sensitivity(t: Transform2x2, seg: SensitivitySegment) -> float:
+    """Reference for the max L1 norm over the segment: the endpoints plus
+    each interior kink."""
+    candidates = [seg.x_lo, seg.x_hi, *interior_kinks(t, seg)]
+    return max(sum(map(abs, t.apply((x, 1.0)))) for x in candidates)
 
 
 class TestTransform2x2:
@@ -114,6 +133,51 @@ class TestSensitivity:
         assert approx <= exact + 1e-9
         assert exact == pytest.approx(approx, rel=1e-6)
 
+    def test_endpoints_equal_kink_scan_bitwise(self):
+        # the norm is convex in x, so no interior kink can exceed both endpoints
+        rng = random.Random(4242)
+
+        def entry():
+            return rng.choice((0.0, -0.0, 1.0, -0.5)) if rng.random() < 0.3 else rng.uniform(-3, 3)
+
+        def segment():
+            kind = rng.randrange(3)
+            if kind == 0:
+                return UNIT_SEGMENT
+            x = rng.uniform(-2, 2)
+            y = x if kind == 1 else rng.uniform(-2, 2)
+            return SensitivitySegment(min(x, y), max(x, y))
+
+        checked = kinked = degenerate = 0
+        while checked < 30_000:
+            a, b, c, d = entry(), entry(), entry(), entry()
+            if a * d - b * c == 0.0:
+                continue
+            t, seg = Transform2x2(a, b, c, d), segment()
+            assert l1_sensitivity_under(t, seg).hex() == kink_sensitivity(t, seg).hex(), (t, seg)
+            checked += 1
+            kinked += bool(interior_kinks(t, seg))
+            degenerate += seg.x_lo == seg.x_hi
+        # the reference scanned a kink in a good share of the cases
+        assert kinked > 5_000 and degenerate > 5_000
+
+    @pytest.mark.parametrize("mechanism", list(Mechanism))
+    def test_plan_radius_equals_kink_scan_bitwise(self, mechanism):
+        rng = random.Random(977)
+        kinked = 0
+        for _ in range(5_000):
+            lo, hi = sorted(rng.uniform(-1, 1) * 10 ** rng.uniform(-6, 6) for _ in range(2))
+            if rng.random() < 0.1:  # a zero lower bound, as on [0, 1]
+                lo = 0.0 if hi > 0 else lo
+            if not lo < hi:
+                continue
+            plan = mechanism_plan(mechanism, lo, hi, EPS)
+            assert plan.radius.hex() == kink_sensitivity(plan.g, UNIT_SEGMENT).hex(), (lo, hi)
+            kinked += bool(interior_kinks(plan.g, UNIT_SEGMENT))
+        # the independent G's kink is at -lower/width, inside [0, 1] when lower < 0 < upper,
+        # the shifted G's at 1/2; the transformed G's are the endpoints 0 and 1
+        assert (kinked > 1_000) == (mechanism is not Mechanism.TRANSFORMED)
+
     def test_no_normalized_radius_below_one(self):
         # Covering the hull of +-(x,1) forces (transformed area) >= hull area:
         # r^2 / |det T| >= 1.  Sampled transforms with entries in [-3,3] never
@@ -168,42 +232,22 @@ class TestBallPolygon:
         with pytest.raises(ValueError):
             BallPolygon(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.5), (0.0, -1.0)))
 
-    @settings(max_examples=150)
-    @given(
-        st.floats(min_value=-2, max_value=2),
-        st.floats(min_value=-2, max_value=2),
-        st.floats(min_value=-2, max_value=2),
-        st.floats(min_value=-2, max_value=2),
-        st.floats(min_value=-4, max_value=4),
-        st.floats(min_value=-4, max_value=4),
-    )
-    def test_membership_iff_norm_within_radius(self, a, b, c, d, px, py):
-        det = a * d - b * c
-        if abs(det) < 0.05:
-            return
-        t = Transform2x2(a, b, c, d)
-        radius = 1.5
-        v1, v2 = t.apply((px, py))
-        norm = abs(v1) + abs(v2)
-        # skip the boundary shell where float tolerance decides either way
-        if abs(norm - radius) < 1e-6:
-            return
-        poly = ball_polygon(t, radius)
-        assert poly.contains((px, py)) == (norm <= radius)
-
 
 class TestCoverage:
+    """The L1 ball of radius r covers every +-(x, 1), x in [0, 1], after T
+    exactly when the sensitivity under T is at most r."""
+
     def test_complement_ball_covers(self):
-        assert covers_sensitivity(ball_polygon(COMPLEMENT_TRANSFORM, 1.0), UNIT_SEGMENT)
+        assert l1_sensitivity_under(COMPLEMENT_TRANSFORM, UNIT_SEGMENT) <= 1.0
 
     def test_identity_radius_one_fails(self):
-        assert not covers_sensitivity(ball_polygon(IDENTITY_TRANSFORM, 1.0), UNIT_SEGMENT)
+        assert not l1_sensitivity_under(IDENTITY_TRANSFORM, UNIT_SEGMENT) <= 1.0
 
     def test_identity_radius_two_covers(self):
-        assert covers_sensitivity(ball_polygon(IDENTITY_TRANSFORM, 2.0), UNIT_SEGMENT)
+        assert l1_sensitivity_under(IDENTITY_TRANSFORM, UNIT_SEGMENT) <= 2.0
 
     def test_centering_ball_covers(self):
-        assert covers_sensitivity(ball_polygon(CENTERING_TRANSFORM, 1.0), UNIT_SEGMENT)
+        assert l1_sensitivity_under(CENTERING_TRANSFORM, UNIT_SEGMENT) <= 1.0
 
 
 class TestNormalize:

@@ -261,6 +261,14 @@ class TestSweep:
         parsed = config_from_json(json.loads(json.dumps(meta)))
         assert parsed == config
 
+    @pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7)])
+    def test_numpy_integer_seed_runs_as_int(self, seed):
+        # _derived_seed's step past 2^64 overflowed a NumPy integer seed
+        config = small_config(seed=seed)
+        assert sweep(config) == sweep(small_config(seed=7))
+        assert type(config.seed) is int and config == small_config(seed=7)
+        json.dumps(config_metadata(config))
+
     def test_sidecar_with_family_k_replays(self):
         # sidecars written before the family kind went hold "family_k": null
         meta = config_metadata(small_config(), preset=None)
@@ -503,6 +511,15 @@ class TestWorstCaseFamily:
             assert harness._family_uniforms.cache_info().currsize == 1
         assert harness._family_uniforms.cache_info()[:2] == (1, 4)
         assert harness._family_uniforms.cache_info().maxsize == 1
+
+    @pytest.mark.parametrize("mech", [Mechanism.TRANSFORMED, GEOMETRIC_COUNT])
+    @pytest.mark.parametrize("seed", [np.uint64(7), np.int64(7)])
+    def test_numpy_integer_seed_equals_int_seed(self, mech, seed):
+        # cleared first: the equal key of an earlier int call would be a cache hit
+        harness._family_uniforms.cache_clear()
+        as_numpy = worst_case_over_family(mech, EPS, 100, 3, 50, seed).hex()
+        harness._family_uniforms.cache_clear()
+        assert as_numpy == worst_case_over_family(mech, EPS, 100, 3, 50, 7).hex()
 
     def test_k_validated(self):
         with pytest.raises(ValueError):

@@ -8,28 +8,29 @@ Trial t of a cell seeded with s draws from a cursor opened at counter t of
 stream (s, 0): its estimate is exactly
 ``run_mechanism(d, eps, mechanism, Cursor(RandomStream(s, 0), t))``.
 Trial 0 is stream (s, 0) from its start, the stream a release seeded s
-draws from.  Sweep cell i derives its seed from the experiment seed with a
-SplitMix64 step (documented in _derived_seed).
+draws from.  A sweep's mechanisms share the seed of each (epsilon, dataset
+spec) pair: pair j, counted epsilon-major, takes SplitMix64 output j of the
+experiment seed (_derived_seed), so with one mechanism pair j is cell j.
 
-Trials are evaluated as arrays, and cells that share a ``MechanismPlan``
-(a sweep's cells of one mechanism, epsilon and bounds, or one mechanism's
-family members) as rows of one array: the group builds its plan once, as
-for a release, draws each row's uniforms from the row's own seed with one
-``noise.trial_uniform_pairs`` call, then runs the Laplace inverse CDF, the
-plan and the squared error elementwise.  Each row holds one cell's squared
-errors in trial order and is reduced on its own along its contiguous axis
-with numpy's pairwise summation, bit for bit as a 1-D sum of that cell's
-errors, so a cell's output depends on no other cell, nor on which cells
-share its batch.  A batch holds at most ``_BATCH_TRIALS`` trials; a cell
-with more runs alone.  A single cell (``squared_errors``, ``estimate_mse``)
-is the one-row case.  Every sweep cell is a ``Mechanism``; only
-``squared_errors`` and ``estimate_mse`` take a per-trial callable, and
-``estimate_mse`` accepts and ignores ``workers``.
+Trials are evaluated as arrays, and cells that share a draw (a sweep's
+pairs of one epsilon and bounds, or the family's members) as rows of one
+array: one ``noise.trial_uniform_pairs`` call draws each row from its own
+seed, the Laplace inverse CDF runs once at unit scale, and each plan, built
+once as for a release, scales that pair and runs the estimator and the
+squared error elementwise.  Each row holds one cell's squared errors in
+trial order and is reduced on its own along its contiguous axis with
+numpy's pairwise summation, bit for bit as a 1-D sum of that cell's errors,
+so a cell's output depends on no other cell, nor on which cells share its
+batch.  A batch holds at most ``_BATCH_TRIALS`` trials per mechanism; a
+cell with more runs alone.  A single cell (``squared_errors``,
+``estimate_mse``) is the one-row case.  Every sweep cell is a
+``Mechanism``; only ``squared_errors`` and ``estimate_mse`` take a
+per-trial callable, and ``estimate_mse`` accepts and ignores ``workers``.
 
 ``worst_case_over_family`` keeps the read-only uniforms of its last call
-(``_family_uniforms``), so calls in a row with equal (seed, k, trials),
-such as the geometric count and the three mechanisms at one epsilon, draw
-once, bit for bit as alone, and hold k * trials * 16 bytes between calls.
+and their unit Laplace pair (``_family_uniforms``), so calls in a row with
+equal (seed, k, trials), such as the four at one epsilon, draw and
+transform once, bit for bit as alone, and hold k * trials * 32 bytes.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .mechanisms import (
     PrivacyBudget,
     check_bounds,
     mechanism_plan,
-    run_mechanism,  # noqa: F401  (per-trial form of _estimates; perfbench/tracing.py patches it here)
+    run_mechanism,  # noqa: F401  (per-trial form of _squared_errors; perfbench/tracing.py patches it here)
     true_mean,
 )
 from .noise import (
@@ -126,10 +127,10 @@ class ExperimentConfig:
     """A sweep's axes, trials and seed.  Mechanisms may be named and the axes
     given as any sequences; they are stored as tuples, values untouched, and
     the seed as a Python int (a NumPy integer seed would overflow in
-    ``_derived_seed``).  ``plans`` maps each (mechanism, epsilon, bounds) of
-    the cells, in the first form of each in cell order, to its plan.  They
-    are built here, so an epsilon or a Laplace scale that a plan refuses is
-    refused before any cell runs."""
+    ``_derived_seed``).  ``plans`` maps each (epsilon, bounds) of the
+    (epsilon, spec) pairs, in the first form of each in pair order, to the
+    mechanisms' plans in order.  They are built here, so an epsilon or a
+    Laplace scale that a plan refuses is refused before any cell runs."""
 
     mechanisms: tuple[Mechanism, ...]
     epsilons: tuple[float, ...]
@@ -144,13 +145,8 @@ class ExperimentConfig:
         if not (self.mechanisms and self.epsilons and self.dataset_specs):
             raise ValueError("a sweep needs at least one mechanism, epsilon and dataset spec")
         check_count("trials", self.trials)
-        keys = dict.fromkeys(
-            (mech, e, spec.bounds)
-            for mech in self.mechanisms
-            for e in self.epsilons
-            for spec in self.dataset_specs
-        )
-        plans = {key: mechanism_plan(key[0], *key[2], PrivacyBudget(key[1])) for key in keys}
+        keys = dict.fromkeys((e, spec.bounds) for e in self.epsilons for spec in self.dataset_specs)
+        plans = {(e, b): [mechanism_plan(m, *b, PrivacyBudget(e)) for m in self.mechanisms] for e, b in keys}
         object.__setattr__(self, "plans", plans)  # not a field: no part of the config's record
         object.__setattr__(self, "seed", check_uint64("seed", self.seed))
 
@@ -184,20 +180,21 @@ def _batches(items, step: int) -> list:
     return [items[i : i + step] for i in range(0, len(items), step)]
 
 
-def _estimates(plan: MechanismPlan, s, n, uniforms) -> np.ndarray:
-    """Estimates of the plan on the aggregates (s, n), one per trial: given
-    uniforms (u_a, u_b), entry t is run_mechanism on a cursor whose first
-    two uniforms are u_a[t] and u_b[t].  Column arrays s, n of one entry per
-    row evaluate rows of uniforms, one cell per row."""
-    return plan.estimate(s, n, *map(laplace_from_uniform, uniforms, plan.scales))[2]
+def _unit_laplace(uniforms) -> tuple:
+    """``laplace_from_uniform(u, 1.0)`` of each of (u_a, u_b).  Times a scale,
+    the sign is exact and the product rounds once, so it is
+    ``laplace_from_uniform(u, scale)`` bit for bit, +0.0 at u = 1/2 included."""
+    return tuple(laplace_from_uniform(u, 1.0) for u in uniforms)
 
 
-def _squared_error_rows(plan: MechanismPlan, datasets, seeds, trials: int) -> np.ndarray:
-    """Squared errors (estimate - true mean)^2 of the plan, one C-contiguous
-    row per dataset in trial order: row j draws its trials from seeds[j]."""
-    s, n, mu = np.array([(d.scaled_total, float(len(d)), true_mean(d)) for d in datasets]).T[..., None]
-    err = _estimates(plan, s, n, trial_uniform_pairs(seeds, trials))
-    err -= mu
+def _squared_errors(plan: MechanismPlan, s, n, units, target, factor=1.0, out=None) -> np.ndarray:
+    """(factor * estimate - target)^2 of the plan on aggregates (s, n), one
+    per trial, into ``out`` if given.  Given the unit Laplace pair of (u_a,
+    u_b), estimate t is run_mechanism on a cursor whose first two uniforms
+    are u_a[t], u_b[t]; column arrays s, n, target evaluate rows, one each."""
+    est = plan.estimate(s, n, *(unit * scale for unit, scale in zip(units, plan.scales)))[2]
+    err = np.multiply(est, factor, out=est if out is None else out)
+    err -= target
     err *= err
     return err
 
@@ -220,7 +217,8 @@ def squared_errors(
     check_count("trials", trials)
     if isinstance(mechanism, str):  # a Mechanism or its name
         plan = mechanism_plan(mechanism, d.lower, d.upper, eps)
-        return _squared_error_rows(plan, [d], [seed], trials)[0]
+        s, n, mu = np.array([(d.scaled_total, float(len(d)), true_mean(d))]).T[..., None]
+        return _squared_errors(plan, s, n, _unit_laplace(trial_uniform_pairs([seed], trials)), mu)[0]
     mu = true_mean(d)
     sq = np.empty(trials, dtype=np.float64)
     stream = RandomStream(seed, 0)
@@ -266,42 +264,45 @@ def estimate_mse(
 
 def sweep(config: ExperimentConfig) -> list[MseReport]:
     """Run the Cartesian product (mechanism, epsilon, dataset_spec) in that
-    nesting order; deterministic given the config seed.  Each distinct spec
-    is built into a dataset once and shared by its cells.  The cells of one
-    (mechanism, epsilon, bounds) share one plan and run as rows of one array,
-    in batches of at most _BATCH_TRIALS trials.  Each report equals
-    ``estimate_mse`` on its cell with the cell's derived seed."""
-    cells = [
-        (mech, e, spec)
-        for mech in config.mechanisms
-        for e in config.epsilons
-        for spec in config.dataset_specs
-    ]
+    nesting order; deterministic given the config seed.  The mechanisms of
+    one (epsilon, spec) pair share its draw: pair j, counted epsilon-major,
+    takes derived seed number j, which each of its cells reports.  The
+    pairs of one (epsilon, bounds) are rows of one draw, in batches of at
+    most _BATCH_TRIALS trials, and each distinct spec is built once.  Each
+    report equals ``estimate_mse`` on its cell with its pair's seed."""
+    pairs = [(e, spec) for e in config.epsilons for spec in config.dataset_specs]
     groups: dict[tuple, list[int]] = {}
-    for index, (mech, e, spec) in enumerate(cells):
-        groups.setdefault((mech, e, spec.bounds), []).append(index)
-    datasets: dict[DatasetSpec, BoundedDataset] = {}
-    reports: list[MseReport] = [None] * len(cells)
-    for (mech, e, bounds), indices in groups.items():
-        plan = config.plans[(mech, e, bounds)]
+    for j, (e, spec) in enumerate(pairs):
+        groups.setdefault((e, spec.bounds), []).append(j)
+    mechs = range(len(config.mechanisms))
+    aggregates: dict[DatasetSpec, tuple] = {}
+    reports: list[MseReport] = [None] * (len(mechs) * len(pairs))
+    for (e, bounds), indices in groups.items():
         for batch in _batches(indices, _batch_step(config.trials)):
-            specs = [cells[i][2] for i in batch]
-            seeds = [_derived_seed(config.seed, i) for i in batch]
+            seeds = [_derived_seed(config.seed, j) for j in batch]
+            cells = [[p * len(pairs) + j for j in batch] for p in mechs]
+            failing = mechs  # the draw is every mechanism's
             try:
-                for spec in specs:
-                    if spec not in datasets:
-                        datasets[spec] = generate_dataset(spec)
-                ds = [datasets[spec] for spec in specs]
-                sq = _squared_error_rows(plan, ds, seeds, config.trials)
-                # a cell reports its own epsilon: equal to the group's, in its own form
-                rows = [(*cells[i], len(d), seed) for i, d, seed in zip(batch, ds, seeds)]
-                for i, report in zip(batch, _mse_reports(sq, rows)):
-                    reports[i] = report
+                for spec in (pairs[j][1] for j in batch):
+                    if spec not in aggregates:
+                        d = generate_dataset(spec)
+                        aggregates[spec] = (d.scaled_total, float(len(d)), true_mean(d))
+                s, n, mu = np.array([aggregates[pairs[j][1]] for j in batch]).T[..., None]
+                units = _unit_laplace(trial_uniform_pairs(seeds, config.trials))
+                sq = np.empty((len(mechs), len(batch), config.trials))
+                for p, plan in enumerate(config.plans[(e, bounds)]):
+                    failing = [p]
+                    _squared_errors(plan, s, n, units, mu, out=sq[p])
             except Exception as exc:
                 raise RuntimeError(
-                    f"sweep cell {', '.join(map(str, batch))} failed"
-                    f" (mechanism={mech}, epsilon={e}, bounds={bounds})"
+                    f"sweep cell {', '.join(str(i) for p in failing for i in cells[p])} failed (mechanism="
+                    f"{' and '.join(str(config.mechanisms[p]) for p in failing)}, epsilon={e}, bounds={bounds})"
                 ) from exc
+            # a cell reports its own epsilon: equal to the group's, in its own form
+            rows = [(config.mechanisms[p], *pairs[j], int(size), seed)
+                    for p in mechs for j, size, seed in zip(batch, n[:, 0].tolist(), seeds)]
+            for i, report in zip(sum(cells, []), _mse_reports(sq.reshape(-1, config.trials), rows)):
+                reports[i] = report
     return reports
 
 
@@ -330,24 +331,22 @@ def worst_case_over_family(
     geometric = mechanism == GEOMETRIC_COUNT
     alpha = GeometricParams(math.exp(-eps.epsilon)).alpha if geometric else None
     plan = None if geometric else mechanism_plan(mechanism, 0.0, 1.0, eps)  # members lie in [0, 1]
-    for members, uniforms in _family_uniforms(seed, k, trials, _batch_step(trials)):
+    for members, (u_a, _, *units) in _family_uniforms(seed, k, trials, _batch_step(trials)):
         if geometric:
-            err = two_sided_geometric_from_uniform(uniforms[0], alpha).astype(np.float64)
+            err = np.square(two_sided_geometric_from_uniform(u_a, alpha), dtype=np.float64)
         else:  # member i holds i ones over n zeros: (s, n) = (i, n + i) exactly
             ones = np.array([float(i) for i in members])[:, None]
             sizes = np.array([float(n + i) for i in members])[:, None]
-            err = _estimates(plan, ones, sizes, uniforms)
-            err *= n
-            err -= ones
-        err *= err
+            err = _squared_errors(plan, ones, sizes, units, ones, factor=n)
         worst = max(worst, *(np.sum(err, axis=1) / trials).tolist())
     return worst
 
 
 @functools.lru_cache(maxsize=1)
 def _family_uniforms(seed: int, k: int, trials: int, step: int) -> tuple:
-    """``(members, (u_a, u_b))`` per batch of ``step`` family members 1..k,
-    member i's row drawn from the derived seed number i - 1, read-only.
+    """``(members, (u_a, u_b, unit_a, unit_b))`` per batch of ``step``
+    family members 1..k, read-only: member i's row of uniforms, drawn from
+    the derived seed number i - 1, and their unit Laplace pair.
 
     The draws are a pure function of the four arguments, and the one entry
     kept is keyed by all of them, so only calls in a row with equal (seed,
@@ -361,6 +360,7 @@ def _family_uniforms(seed: int, k: int, trials: int, step: int) -> tuple:
     batches = []
     for members in _batches(range(1, k + 1), step):
         uniforms = trial_uniform_pairs([_derived_seed(seed, i - 1) for i in members], trials)
+        uniforms += _unit_laplace(uniforms)
         for u in uniforms:
             u.flags.writeable = False
         batches.append((members, uniforms))

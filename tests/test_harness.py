@@ -44,10 +44,11 @@ EPS = PrivacyBudget(0.5)
 GATE_SEED = 20240601
 
 # sha256 of `figures --preset fig2c --seed 7 --trials 200` output: the CSV,
-# recorded when trial t became counter t of stream (seed, 0), and its
-# sidecar, recorded when dataset specs lost the family member field
+# recorded when the mechanisms of one (epsilon, spec) pair came to share its
+# seed, and its sidecar, recorded when dataset specs lost the family member
+# field
 FIG2C_SHA256 = {
-    "fig2c.csv": "95cf3a3d32f13c56a8cab108dec36088ee8ae0ba9c1a8996a9686cea3a4e9037",
+    "fig2c.csv": "bf11b3f37e5b1a5942b921950fcac7572aa8c53ff4b357a5594a6b7b01b02d96",
     "fig2c.csv.meta.json": "3997fe322ff3bb32d353f3d5b3ff743d12f6b9c57c86eca60b82f3c32a70dbe3",
 }
 
@@ -56,6 +57,15 @@ FIG2C_SHA256 = {
 FAMILY_BOUNDS = [
     (0.0, 1.0), (-1.0, 1.0), (-2.86, 4.07), (-1e3, 1e-3), (0.1, 0.3), (-5.0, -2.0), (1e-6, 1e6),
 ]
+
+
+# sha256 of `figures --preset NAME --seed 7 --trials 2000` CSVs of the
+# one-mechanism presets, recorded before the mechanisms of one (epsilon,
+# spec) pair came to share its seed: with one mechanism, pair j is cell j
+SINGLE_MECHANISM_SHA256 = {
+    "fig2a": "0135ecff10ba35c69dbfbb696d79f1ded52c33a50c92edbf88c7e05681be9ec2",
+    "fig2b": "5e2dbca9a2c945702c89f8587393e4414c076048e60879590ded3cc3a95be166",
+}
 
 
 MIXED_SPECS = (
@@ -277,18 +287,37 @@ class TestSweep:
 
     def test_failing_cell_aborts_with_context(self, monkeypatch):
         boom = ValueError("boom")
-        rows = harness._squared_error_rows
+        errors = harness._squared_errors
 
-        def exploding(plan, *args):
+        def exploding(plan, *args, **kwargs):
             if plan.g == COMPLEMENT_TRANSFORM:  # the transformed mechanism's G
                 raise boom
-            return rows(plan, *args)
+            return errors(plan, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "_squared_error_rows", exploding)
+        monkeypatch.setattr(harness, "_squared_errors", exploding)
         specs = (DatasetSpec(DatasetKind.CONSTANT, 5, 0.5, (0.0, 1.0)),)
         config = ExperimentConfig((Mechanism.SHIFTED, Mechanism.TRANSFORMED), (0.5,), specs, 3, 1)
         with pytest.raises(RuntimeError, match="sweep cell 1 failed") as info:
             sweep(config)
+        assert info.value.__cause__ is boom
+        assert "(mechanism=Mechanism.TRANSFORMED, epsilon=0.5, bounds=(0.0, 1.0))" in str(info.value)
+
+    def test_failing_draw_names_every_mechanism(self, monkeypatch):
+        # the mechanisms of a pair share its draw, so its failure is all of theirs
+        boom = ValueError("boom")
+
+        def exploding(*args):
+            raise boom
+
+        monkeypatch.setattr(harness, "trial_uniform_pairs", exploding)
+        specs = (DatasetSpec(DatasetKind.CONSTANT, 5, 0.5, (0.0, 1.0)),)
+        config = ExperimentConfig((Mechanism.SHIFTED, Mechanism.TRANSFORMED), (0.5, 1.0), specs, 3, 1)
+        with pytest.raises(RuntimeError) as info:
+            sweep(config)
+        assert str(info.value) == (
+            "sweep cell 0, 2 failed (mechanism=Mechanism.SHIFTED and Mechanism.TRANSFORMED,"
+            " epsilon=0.5, bounds=(0.0, 1.0))"
+        )
         assert info.value.__cause__ is boom
 
     @pytest.mark.parametrize(
@@ -322,26 +351,32 @@ class TestSweep:
         with pytest.raises(ValueError, match="bogus"):
             DatasetSpec("bogus", 5, 0.5, (0.0, 1.0))
 
+    @staticmethod
+    def assert_reports_equal_per_pair_estimate_mse(config):
+        """Each report is estimate_mse on its cell with the seed of its
+        (epsilon, spec) pair: pair j, counted epsilon-major, takes derived
+        seed number j, and every mechanism of the pair reports it."""
+        pairs = [(e, s) for e in config.epsilons for s in config.dataset_specs]
+        reports = sweep(config)
+        assert len(reports) == len(config.mechanisms) * len(pairs)
+        for m, mech in enumerate(config.mechanisms):
+            for j, (e, spec) in enumerate(pairs):
+                report = reports[m * len(pairs) + j]
+                seed = _derived_seed(config.seed, j)
+                d = generate_dataset(spec)
+                assert report.seed == seed
+                assert report == estimate_mse(d, mech, PrivacyBudget(e), config.trials, seed, dataset_spec=spec)
+
     @pytest.mark.parametrize("trials", [1, 7, 1365, 4097])
     def test_reports_equal_per_cell_estimate_mse(self, trials):
-        config = small_config(trials=trials, seed=2**64 - 1)
-        cells = [(m, e, s) for m in config.mechanisms for e in config.epsilons for s in config.dataset_specs]
-        reports = sweep(config)
-        for index, ((mech, e, spec), report) in enumerate(zip(cells, reports)):
-            d = generate_dataset(spec)
-            seed = _derived_seed(config.seed, index)
-            assert report == estimate_mse(d, mech, PrivacyBudget(e), trials, seed, dataset_spec=spec)
+        self.assert_reports_equal_per_pair_estimate_mse(small_config(trials=trials, seed=2**64 - 1))
 
     @pytest.mark.parametrize("trials", [1, 7, 4097])
     def test_mixed_bounds_rows_equal_per_cell_estimate_mse(self, trials):
         # two bounds pairs interleaved, a constant spec and two sizes: the
-        # cells of one (mechanism, epsilon, bounds) share a batch
+        # pairs of one (epsilon, bounds) share a batch and its draw
         config = ExperimentConfig(tuple(Mechanism), (0.5, 2.0), MIXED_SPECS, trials, 2**64 - 1)
-        cells = [(m, e, s) for m in config.mechanisms for e in config.epsilons for s in config.dataset_specs]
-        for index, ((mech, e, spec), report) in enumerate(zip(cells, sweep(config))):
-            seed = _derived_seed(config.seed, index)
-            d = generate_dataset(spec)
-            assert report == estimate_mse(d, mech, PrivacyBudget(e), trials, seed, dataset_spec=spec)
+        self.assert_reports_equal_per_pair_estimate_mse(config)
 
     @pytest.mark.parametrize("cap", [7, 2 * 7, 4 * 7 + 3])
     def test_split_batches_change_no_report(self, monkeypatch, cap):
@@ -357,6 +392,31 @@ class TestSweep:
         assert main(argv) == 0
         for name, digest in FIG2C_SHA256.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(SINGLE_MECHANISM_SHA256))
+    def test_single_mechanism_presets_keep_their_bytes(self, tmp_path, capsys, name):
+        out = tmp_path / f"{name}.csv"
+        argv = ["figures", "--preset", name, "--seed", "7", "--trials", "2000", "--output", str(out)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SINGLE_MECHANISM_SHA256[name]
+
+    def test_shared_draws_cut_the_ratio_variance(self):
+        # the shifted/transformed MSE ratio of each fig2c cell over seeds
+        # 0-49 (fixed in advance) at 10^3 trials: fig2c's mechanisms share a
+        # pair's draw; independent draws come from one-mechanism sweeps
+        # seeded s (shifted) and s + 10^6 (transformed)
+        shared, independent = [], []
+        for seed in range(50):
+            config = preset_config("fig2c", seed, trials=1000)
+            both = sweep(config)
+            shifted = sweep(dataclasses.replace(config, mechanisms=(Mechanism.SHIFTED,)))
+            transformed = sweep(dataclasses.replace(config, mechanisms=(Mechanism.TRANSFORMED,), seed=seed + 10**6))
+            assert shifted == both[:30]  # one mechanism alone draws as it does beside another
+            shared.append([s.mse / t.mse for s, t in zip(both[:30], both[30:])])
+            independent.append([s.mse / t.mse for s, t in zip(shifted, transformed)])
+        variance_ratios = np.var(independent, axis=0, ddof=1) / np.var(shared, axis=0, ddof=1)
+        assert len(variance_ratios) == 30
+        assert np.median(variance_ratios) >= 2.0
 
     @pytest.mark.parametrize(
         "mechanism, epsilon, bounds",

@@ -142,6 +142,19 @@ class TestLaplaceTransform:
             assert type(got) is float and got.hex() == want.hex()
         assert laplace_from_uniform(0.5, 1.0).hex() == "0x0.0p+0"  # +0.0, not -0.0
 
+    def test_unit_transform_times_scale_keeps_bits(self):
+        # the sweep and the family transform each draw once at unit scale and
+        # scale it per plan: the sign is exact and the product rounds once
+        edges = [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 2.0**-53, 2.0**-52, 1.0 - 2.0**-53]
+        u = np.concatenate([Cursor(RandomStream(23, 0)).uniforms_open(100_000), edges])
+        unit = laplace_from_uniform(u, 1.0)
+        for scale in (0.3, 1.0, 2.0, 4.0, 20.0, 7.5e3, 1e300, 1e-300, 5e-324):
+            assert np.array_equal((unit * scale).view(np.uint64), laplace_from_uniform(u, scale).view(np.uint64))
+            for v in edges:
+                got = laplace_from_uniform(float(v), 1.0) * scale
+                assert type(got) is float and got.hex() == laplace_from_uniform(float(v), scale).hex()
+        assert (laplace_from_uniform(0.5, 1.0) * 2.0).hex() == "0x0.0p+0"  # +0.0, not -0.0
+
     def test_moments_over_million_draws(self):
         b = 1.5
         cursor = RandomStream(123, 0).cursor()

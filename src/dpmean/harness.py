@@ -169,14 +169,10 @@ class MseReport:
 _BATCH_TRIALS = 1 << 16
 
 
-def _batch_step(trials: int) -> int:
-    """Items per batch of ``trials`` trials each: as many as _BATCH_TRIALS
-    holds, one at the least."""
-    return max(1, _BATCH_TRIALS // trials)
-
-
-def _batches(items, step: int) -> list:
-    """Consecutive slices of ``items``, ``step`` items per slice."""
+def _batches(items, trials: int) -> list:
+    """Consecutive slices of ``items`` of ``trials`` trials each, as many
+    items per slice as _BATCH_TRIALS holds, one at the least."""
+    step = max(1, _BATCH_TRIALS // trials)
     return [items[i : i + step] for i in range(0, len(items), step)]
 
 
@@ -278,7 +274,7 @@ def sweep(config: ExperimentConfig) -> list[MseReport]:
     aggregates: dict[DatasetSpec, tuple] = {}
     reports: list[MseReport] = [None] * (len(mechs) * len(pairs))
     for (e, bounds), indices in groups.items():
-        for batch in _batches(indices, _batch_step(config.trials)):
+        for batch in _batches(indices, config.trials):
             seeds = [_derived_seed(config.seed, j) for j in batch]
             cells = [[p * len(pairs) + j for j in batch] for p in mechs]
             failing = mechs  # the draw is every mechanism's
@@ -331,7 +327,7 @@ def worst_case_over_family(
     geometric = mechanism == GEOMETRIC_COUNT
     alpha = GeometricParams(math.exp(-eps.epsilon)).alpha if geometric else None
     plan = None if geometric else mechanism_plan(mechanism, 0.0, 1.0, eps)  # members lie in [0, 1]
-    for members, (u_a, _, *units) in _family_uniforms(seed, k, trials, _batch_step(trials)):
+    for members, (u_a, _, *units) in _family_uniforms(seed, k, trials):
         if geometric:
             err = np.square(two_sided_geometric_from_uniform(u_a, alpha), dtype=np.float64)
         else:  # member i holds i ones over n zeros: (s, n) = (i, n + i) exactly
@@ -343,22 +339,23 @@ def worst_case_over_family(
 
 
 @functools.lru_cache(maxsize=1)
-def _family_uniforms(seed: int, k: int, trials: int, step: int) -> tuple:
-    """``(members, (u_a, u_b, unit_a, unit_b))`` per batch of ``step``
-    family members 1..k, read-only: member i's row of uniforms, drawn from
-    the derived seed number i - 1, and their unit Laplace pair.
+def _family_uniforms(seed: int, k: int, trials: int) -> tuple:
+    """``(members, (u_a, u_b, unit_a, unit_b))`` per batch of family
+    members 1..k, read-only: member i's row of uniforms, drawn from the
+    derived seed number i - 1, and their unit Laplace pair.
 
-    The draws are a pure function of the four arguments, and the one entry
-    kept is keyed by all of them, so only calls in a row with equal (seed,
-    k, trials), such as the four at one epsilon, share a draw; a batch step
-    of its own splits the members afresh.  No row, seed or older call is
-    kept: a sequence of calls whose last k differs from its first, as the
-    script's epsilons 0.2 ... 1.0 do, draws anew each time it is repeated,
-    so a repeated run (a benchmark's pass pair among them) draws as much as
-    the first.
+    The draws are a pure function of (seed, k, trials), and the one entry
+    kept is keyed by exactly those, so calls in a row with equal (seed, k,
+    trials), such as the four at one epsilon, share a draw; the batches
+    only group the rows, and no value depends on them (an entry keeps the
+    batches it was drawn in).  No row, seed or older call is kept: a
+    sequence of calls whose last k differs from its first, as the script's
+    epsilons 0.2 ... 1.0 do, draws anew each time it is repeated, so a
+    repeated run (a benchmark's pass pair among them) draws as much as the
+    first.
     """
     batches = []
-    for members in _batches(range(1, k + 1), step):
+    for members in _batches(range(1, k + 1), trials):
         uniforms = trial_uniform_pairs([_derived_seed(seed, i - 1) for i in members], trials)
         uniforms += _unit_laplace(uniforms)
         for u in uniforms:

@@ -22,9 +22,9 @@ Philox is addressable by counter as well as by key (Salmon et al.,
 opens a stream at its block t, and block t is block t of one long draw from
 the stream's start.  ``trial_uniform_pairs(seeds, trials)`` uses this to
 give, for each seed, the first two ``uniform_open()`` draws of a cursor at
-every counter 0..trials-1 of stream ``(seed, 0)`` from one ``random_raw``
-call: one row per seed, for cells that are evaluated as rows of one array;
-each row is drawn from its own stream.
+every counter 0..trials-1 of stream ``(seed, 0)`` from one
+``Generator.random`` call: one row per seed, for cells that are evaluated
+as rows of one array; each row is drawn from its own stream.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _UINT64_MAX = 2**64 - 1
-_SHIFT_DOUBLE = np.uint64(11)  # Generator.random() keeps the top 53 bits
 
 
 def check_uint64(name: str, value) -> int:
@@ -194,28 +193,25 @@ def trial_uniform_pairs(seeds, trials: int) -> tuple[np.ndarray, np.ndarray]:
     float64 arrays of shape (len(seeds), trials), one C-contiguous row per
     seed.
 
-    Block t of a stream holds trial t's words, so one ``random_raw`` call
-    per row draws them all; one cursor serves every row, moved to the row's
-    stream by ``jump_to``, which skips the OS-entropy seeding that numpy
-    gives each new Philox before its key.  Words 0 and 1 of each block
-    become doubles as ``Generator.random()`` makes them, the top 53 bits
-    kept in one strided copy per row and scaled by 2^-53 in one pass.  The
-    rows share only that pass, which is elementwise, so a row's values
-    depend on no other row.  A trial whose block holds a zero uniform
-    (probability 2^-53 per word) is drawn by its own cursor on its own row's
-    seed instead, which redraws exactly as ``uniform_open`` does.
+    Block t of a stream holds trial t's words, so one
+    ``Generator.random(4 * trials)`` call per row draws them all, through
+    the numpy function ``uniform_open`` calls; one cursor serves every row,
+    moved to the row's stream by ``jump_to``, which skips the OS-entropy
+    seeding that numpy gives each new Philox before its key.  Doubles 0
+    and 1 of each block go into the row in one strided copy; a row's
+    values depend on no other row.  A trial whose block holds a zero
+    uniform (probability 2^-53 per word) is drawn by its own cursor on its
+    own row's seed instead, which redraws exactly as ``uniform_open`` does.
     """
     check_count("trials", trials)
     streams = [RandomStream(seed, 0) for seed in seeds]
-    words = np.empty((2, len(streams), trials), dtype=np.uint64)
+    u = np.empty((2, len(streams), trials))
     for r, stream in enumerate(streams):
         if r:
             cursor.jump_to(stream)
         else:
             cursor = Cursor(stream)
-        blocks = cursor._bitgen.random_raw(4 * trials).reshape(trials, 4)
-        np.right_shift(blocks[:, :2].T, _SHIFT_DOUBLE, out=words[:, r])
-    u = np.multiply(words, 2.0**-53)  # below 2^53, each word converts exactly
+        u[:, r] = cursor._gen.random(4 * trials).reshape(trials, 4)[:, :2].T
     if not u.all():
         for k in np.flatnonzero((u[0] == 0.0) | (u[1] == 0.0)).tolist():
             r, t = divmod(k, trials)

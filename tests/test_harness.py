@@ -530,13 +530,15 @@ class TestWorstCaseFamily:
 
     @pytest.mark.parametrize("mech", [GEOMETRIC_COUNT, *Mechanism])
     def test_split_batches_change_no_worst_case(self, monkeypatch, mech):
+        # cleared each time: an entry keeps the batches it was drawn in
+        harness._family_uniforms.cache_clear()
         whole = worst_case_over_family(mech, EPS, 300, 5, 40, 17)
         monkeypatch.setattr(harness, "_BATCH_TRIALS", 2 * 40)
-        misses = harness._family_uniforms.cache_info().misses
+        harness._family_uniforms.cache_clear()
         assert worst_case_over_family(mech, EPS, 300, 5, 40, 17) == whole
         # a real split: the members were drawn again, three batches of at most two
-        assert harness._family_uniforms.cache_info().misses == misses + 1
-        assert [len(members) for members, _ in harness._family_uniforms(17, 5, 40, 2)] == [2, 2, 1]
+        assert harness._family_uniforms.cache_info().misses == 1
+        assert [len(members) for members, _ in harness._family_uniforms(17, 5, 40)] == [2, 2, 1]
 
     @pytest.mark.parametrize("cap, sizes", [(1 << 16, [7]), (4 * 600, [4, 3])])
     def test_four_calls_in_a_row_equal_fresh_calls(self, monkeypatch, cap, sizes):
@@ -546,7 +548,7 @@ class TestWorstCaseFamily:
         in_a_row = [worst_case_over_family(m, EPS, 1000, 7, 600, 41).hex() for m in mechs]
         info = harness._family_uniforms.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
-        assert [len(members) for members, _ in harness._family_uniforms(41, 7, 600, cap // 600)] == sizes
+        assert [len(members) for members, _ in harness._family_uniforms(41, 7, 600)] == sizes
         fresh = []
         for m in mechs:
             harness._family_uniforms.cache_clear()
@@ -554,20 +556,21 @@ class TestWorstCaseFamily:
         assert in_a_row == fresh
 
     def test_cached_uniforms_are_read_only(self):
-        batches = harness._family_uniforms(5, 3, 20, 1 << 16)
+        harness._family_uniforms.cache_clear()
+        batches = harness._family_uniforms(5, 3, 20)
         for _, uniforms in batches:
             for u in uniforms:
                 with pytest.raises(ValueError, match="read-only"):
                     u[0, 0] = 0.5
         assert [list(members) for members, _ in batches] == [[1, 2, 3]]
 
-    def test_cache_holds_one_entry_and_a_new_step_misses(self):
+    def test_cache_holds_one_entry(self):
         harness._family_uniforms.cache_clear()
         worst_case_over_family(Mechanism.SHIFTED, EPS, 100, 4, 30, 3)
         worst_case_over_family(Mechanism.SHIFTED, EPS, 100, 4, 30, 3)
         assert harness._family_uniforms.cache_info()[:2] == (1, 1)  # hits, misses
-        for step in (1, 2, 1):  # each differs from the entry before it
-            harness._family_uniforms(3, 4, 30, step)
+        for k in (5, 4, 5):  # each differs from the entry before it
+            harness._family_uniforms(3, k, 30)
             assert harness._family_uniforms.cache_info().currsize == 1
         assert harness._family_uniforms.cache_info()[:2] == (1, 4)
         assert harness._family_uniforms.cache_info().maxsize == 1

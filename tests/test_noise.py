@@ -296,22 +296,6 @@ class TestGolden:
         assert draws == UNIFORM_GOLDEN
 
 
-class _FirstDrawZero:
-    """Generator stand-in whose first draw reads as 0.0 (it still consumes
-    the word), then delegates."""
-
-    def __init__(self, gen):
-        self._gen = gen
-        self._first = True
-
-    def random(self):
-        u = self._gen.random()
-        if self._first:
-            self._first = False
-            return 0.0
-        return u
-
-
 def one_seed(seed, trials):
     """``trial_uniform_pairs`` of the one-seed list [seed]: its one row."""
     (u0,), (u1,) = trial_uniform_pairs([seed], trials)
@@ -371,26 +355,28 @@ class TestPhiloxKernel:
 
     @staticmethod
     def force_zero_word(monkeypatch, seed, target):
-        """Make word 0 of trial ``target``'s block read as zero, both in the
-        batch draw and in that trial's own cursor."""
+        """Make word 0 of trial ``target``'s block of stream (seed, 0) read
+        as a zero double in every draw that reaches it: the batch draw of a
+        cursor keyed (seed, 0) at counter 0, opened or moved there by
+        ``jump_to``, and the first draw of that trial's own cursor."""
         real_init = Cursor.__init__
 
         class ZeroedWord:
-            def __init__(self, bitgen):
-                self._bitgen = bitgen
+            def __init__(self, gen):
+                self._gen = gen
 
-            def random_raw(self, size):
-                words = self._bitgen.random_raw(size)
-                words[4 * target] = 0
-                return words
+            def random(self, size=None):
+                st = self._gen.bit_generator.state
+                # the stream's words drawn before this call
+                drawn = 4 * int(st["state"]["counter"][0]) + st["buffer_pos"] - 4
+                u = self._gen.random(1 if size is None else size)
+                if st["state"]["key"].tolist() == [seed, 0] and 0 <= 4 * target - drawn < len(u):
+                    u[4 * target - drawn] = 0.0
+                return float(u[0]) if size is None else u
 
         def init(self, stream, counter=0):
             real_init(self, stream, counter)
-            if stream == RandomStream(seed, 0):
-                if counter == 0:
-                    self._bitgen = ZeroedWord(self._bitgen)
-                elif counter == target:
-                    self._gen = _FirstDrawZero(self._gen)
+            self._gen = ZeroedWord(self._gen)
 
         monkeypatch.setattr(Cursor, "__init__", init)
 
@@ -424,33 +410,10 @@ class TestPhiloxKernel:
         assert (u0[target], u1[target]) == (gen.random(), gen.random())
         assert np.array_equal(np.delete(u0, target), np.delete(clean[1][0], target))
 
-    @staticmethod
-    def force_zero_word_by_key(monkeypatch, seed, target):
-        """As ``force_zero_word``, but the batch draw's zero is put in by
-        the bit generator itself, whenever it is keyed (seed, 0) at counter
-        0: a cursor moved to that stream by ``jump_to`` reads it too."""
-        real_init = Cursor.__init__
-
-        class ZeroedWord(np.random.Philox):
-            def random_raw(self, size=None, output=True):
-                state = self.state["state"]
-                words = super().random_raw(size, output)
-                if state["key"].tolist() == [seed, 0] and not state["counter"].any():
-                    words[4 * target] = 0
-                return words
-
-        def init(self, stream, counter=0):
-            real_init(self, stream, counter)
-            if stream == RandomStream(seed, 0) and counter == target:
-                self._gen = _FirstDrawZero(self._gen)
-
-        monkeypatch.setattr(np.random, "Philox", ZeroedWord)
-        monkeypatch.setattr(Cursor, "__init__", init)
-
     def test_zero_word_in_one_row_of_a_batch_call_moves_only_that_row(self, monkeypatch):
         seeds, hit_seed, target = [31, 32, 33], 32, 17
         clean = trial_uniform_pairs(seeds, 64)
-        self.force_zero_word_by_key(monkeypatch, hit_seed, target)
+        self.force_zero_word(monkeypatch, hit_seed, target)
         u0, u1 = trial_uniform_pairs(seeds, 64)
         moved = np.zeros((3, 64), dtype=bool)
         moved[1, target] = True

@@ -68,19 +68,16 @@ def _entropy_seed() -> int:
     return secrets.randbits(64)
 
 
-def _input_lines(path: str) -> list[str]:
+def _numbered(path: str):
+    """(line number, stripped text) of every non-blank line of the file."""
     # read_text maps \r\n and \r to \n, so line numbers count \n-ended
     # lines whatever the file's line endings; splitlines would also break
     # at form feeds and other separators an editor shows within a line.
     try:
-        return Path(path).read_text().split("\n")
+        text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read input file {path}: {exc}") from exc
-
-
-def _numbered(lines: list[str]):
-    """(line number, stripped text) of every non-blank line."""
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line:
             yield lineno, line
@@ -173,9 +170,9 @@ def _fixed(data, end: int) -> np.ndarray | None:
     return (digits.reshape(n, width) @ weights) / power
 
 
-def _parse(data, end: int) -> np.ndarray:
-    """``float`` of each stripped non-blank line of ``data[:end]``, ASCII
-    lines that each end in a newline, in order, as float64.
+def _parse(data, end: int, encoding: str) -> np.ndarray:
+    """``float`` of each stripped non-blank line of ``data[:end]``, lines in
+    ``encoding`` that each end in a newline, in order, as float64.
 
     A line of 1-14 ASCII digits with at most one ``.`` and nothing else, no
     sign, exponent, ``_`` or padding, takes an exact path in array passes.
@@ -184,11 +181,14 @@ def _parse(data, end: int) -> np.ndarray:
     for bit (Clinger's fast path).  A block whose lines share one length
     and one dot column (or have none) is converted as a reshape of its bytes,
     with one power 10^k; the syntax accepted and the bits are the same.
-    Every other line goes through ``float`` in file order, so the syntax
-    accepted, the line numbers and the messages are those of ``float`` on
-    each line.  The array pass pays only where nearly every line is exact,
-    so a block takes it only if at least 7 lines in 8 are exact; any other
-    block goes through ``float`` whole."""
+    Every other line is decoded on its own and goes through ``float`` in
+    file order, so the syntax accepted, the line numbers and the messages
+    are those of ``float`` on each line.  In an ASCII-compatible encoding a
+    non-ASCII character opens with a byte above 0x7F, which no exact line
+    holds, so every such byte is decoded and an undecodable one refused.
+    The array pass pays only where nearly every line is exact, so a block
+    takes it only if at least 7 lines in 8 are exact; any other block is
+    decoded and goes through ``float`` whole."""
     # The complete lines of the head screen a block for that at little cost:
     # exact lines are at most 15 characters and hold only digits and a dot.
     head = data[:min(end, _PROBE)]
@@ -202,26 +202,22 @@ def _parse(data, end: int) -> np.ndarray:
         ends = np.flatnonzero(buf == 10)
         lens = np.diff(ends, prepend=-1) - 1
         exact, values = _exact(buf, ends, lens)
-        if exact.all():
-            return values
         if 8 * np.count_nonzero(exact) >= 7 * len(exact):
             slow = np.flatnonzero(~exact)
-            texts = [str(data[e - n:e], "ascii").strip() for e, n in zip(ends[slow].tolist(), lens[slow].tolist())]
+            texts = [str(data[e - n:e], encoding).strip() for e, n in zip(ends[slow].tolist(), lens[slow].tolist())]
             filled = np.fromiter(map(bool, texts), dtype=bool, count=len(texts))
             values[slow[filled]] = _floats(texts)
             return np.delete(values, slow[~filled])
-    return _floats(str(data[:end], "ascii").split("\n"))
+    return _floats(str(data[:end], encoding).split("\n"))
 
 
 def _block(buf, cut: int, encoding: str) -> np.ndarray:
     """The values of ``buf[:cut]``, whole lines in ``encoding``."""
-    if buf.find(b"\r", 0, cut) < 0 and np.frombuffer(buf, np.uint8, cut).max() < 0x80:
-        return _parse(buf, cut)
+    if buf.find(b"\r", 0, cut) < 0:
+        return _parse(buf, cut, encoding)
     text = io.IncrementalNewlineDecoder(None, translate=True).decode(str(buf[:cut], encoding), final=True)
-    if text.isascii():
-        data = text.encode("ascii")
-        return _parse(data, len(data))
-    return _floats(text.split("\n"))
+    data = text.encode("utf-8")
+    return _parse(data, len(data), "utf-8")
 
 
 def _chunks(path: str):
@@ -233,11 +229,11 @@ def _chunks(path: str):
     The unfinished line of each read opens the next, and each read of at
     most ``_CHUNK`` bytes is cut after its last ``\n``, or after its last
     ``\r`` if it holds no ``\n``; the file's last line needs no line end.
-    A block of whole lines with no ``\r`` and only ASCII bytes is its own
-    text, and is parsed where it lies in the read buffer.  Any other block
-    is decoded on its own as text mode decodes it, ``\r\n`` and ``\r`` as
-    ``\n``; one with a non-ASCII character goes through ``float`` whole.
-    Decoding block by block is exact because the locale's encoding is
+    A block of whole lines with no ``\r`` is parsed where it lies in the
+    read buffer, in the file's encoding.  A block with a ``\r`` is decoded
+    on its own as text mode decodes it, ``\r\n`` and ``\r`` as ``\n``,
+    and parsed as UTF-8, which encodes any text exactly.  Decoding block by
+    block, or line by line, is exact because the locale's encoding is
     ASCII-compatible and no multibyte character of it holds a ``\n`` or
     ``\r`` byte, so a cut never splits a character; a ``\r\n`` pair split
     by a ``\r`` cut adds only a blank line, which holds no value."""
@@ -262,7 +258,7 @@ def _chunks(path: str):
     except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
         # Only a rejected file is read again in full, to report the error as
         # a whole-file read does and to number the offending line.
-        for lineno, line in _numbered(_input_lines(path)):
+        for lineno, line in _numbered(path):
             try:
                 float(line)
             except ValueError as exc:
@@ -307,7 +303,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         first, value = outside
         message = f"value {value} is outside the declared bounds [{args.lower}, {args.upper}]"
         # Only a rejected file is read again, for the line of that value.
-        for lineno, _ in itertools.islice(_numbered(_input_lines(args.input)), first, None):
+        for lineno, _ in itertools.islice(_numbered(args.input), first, None):
             raise ValidationError(f"line {lineno}: {message}")
         raise ValidationError(message)
     # Exactly one mechanism invocation: no retries, or the guarantee degrades.

@@ -369,6 +369,31 @@ class TestReadValues:
         assert read_values(path).tolist() == exact * 5 + [0.5, 123456789012345.0, 7.0]
         assert seen == ["+0.5", "123456789012345", "7"]
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_only_the_non_ascii_line_reaches_float(self, tmp_path, monkeypatch, ending):
+        # A line padded with U+3000 is decoded and goes through float on its
+        # own; the exact lines around it in its block do not.  A block with
+        # \r\n endings is decoded whole and parsed as UTF-8.
+        seen = []
+        monkeypatch.setattr(cli, "float", lambda text: seen.append(text) or float(text), raising=False)
+        path = tmp_path / "values.txt"
+        lines = ["0.5"] * 20 + ["\u30000.25"] + ["0.75"] * 5
+        path.write_bytes("".join(line + ending for line in lines).encode("utf-8"))
+        assert read_values(path).tolist() == [0.5] * 20 + [0.25] + [0.75] * 5
+        assert seen == ["0.25"]
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_a_non_utf8_encoding_reaches_the_parse(self, tmp_path, monkeypatch, ending):
+        # Latin-1 pads with the no-break space, the byte 0xa0, which is no
+        # UTF-8 text: the lines, or with \r\n the block, that hold it are
+        # decoded in the file's own encoding.
+        monkeypatch.setattr(cli, "open", lambda path: open(path, encoding="latin-1"), raising=False)
+        path = tmp_path / "values.txt"
+        lines = ["0.5"] * 20 + ["\xa00.25", "0.125\xa0", "\xa0"] + ["0.75"] * 5
+        path.write_bytes("".join(line + ending for line in lines).encode("latin-1"))
+        expected = np.array([float(line.strip()) for line in lines if line.strip()])
+        assert read_values(path).tobytes() == expected.tobytes()
+
     # Below 7 exact lines in 8 the array pass costs more than it saves: a
     # sign in the head screens the first block out, 15-digit lines the pass.
     @pytest.mark.parametrize("lines", [["0.5", "-0.25", "1.5"], ["123456789012345"] * 8 + ["0.5"]])
@@ -397,8 +422,9 @@ class TestReadValues:
     )
     def test_decoder_buffer_edge(self, tmp_path, monkeypatch, chunk, tail, values):
         # After 8190 bytes of "0\n" lines the tail puts a \r\n pair, or a
-        # 3-byte U+3000 split 2+1 or 1+2, across byte 8192: ASCII reads as
-        # bytes, then a read the decoder takes, in small and in whole reads.
+        # 3-byte U+3000 split 2+1 or 1+2, across byte 8192, in small and in
+        # whole reads: every read is parsed where it lies but the one with
+        # the \r, which the decoder takes, and no block ends inside a line.
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         path = tmp_path / "values.txt"
         path.write_bytes(("0\n" * 4095 + tail).encode())

@@ -172,13 +172,18 @@ def two_sided_geometric_from_uniform(u, alpha):
     The CDF of P[Z=k] = (1-alpha)/(1+alpha) * alpha^|k| is
     F(k) = alpha^(-k)/(1+alpha) for k <= -1 and 1 - alpha^(k+1)/(1+alpha)
     for k >= 0; this returns min{k : F(k) >= u}.  Accepts scalars or arrays.
+    One ``log`` per element: L = log(v)/log(alpha) with v = u(1+alpha) on
+    the negative side and (1-u)(1+alpha) on the other, and k = ceil(-L) or
+    max(0, ceil(L - 1)); since (-a)/b = -(a/b) exactly, that is the formula
+    with a ``log`` per side, bit for bit.
     """
     u = np.asarray(u, dtype=np.float64)
-    log_alpha = math.log(alpha)
     neg = u * (1.0 + alpha) <= alpha
-    k_neg = np.ceil(-np.log(u * (1.0 + alpha)) / log_alpha)
-    k_pos = np.maximum(0.0, np.ceil(np.log((1.0 - u) * (1.0 + alpha)) / log_alpha - 1.0))
-    k = np.where(neg, k_neg, k_pos)
+    v = np.where(neg, u, 1.0 - u)
+    v *= 1.0 + alpha
+    np.log(v, out=v)
+    v /= math.log(alpha)
+    k = np.where(neg, np.ceil(-v), np.maximum(0.0, np.ceil(v - 1.0)))
     return k.astype(np.int64) if k.ndim else int(k)
 
 

@@ -190,6 +190,22 @@ class TestGeometricTransform:
         zs = two_sided_geometric_from_uniform(cursor.uniforms_open(400_000), alpha)
         assert (zs == 0).mean() == pytest.approx(GEO_P0_HALF, abs=0.005)
 
+    @pytest.mark.parametrize("alpha", [1e-12, math.exp(-0.1), math.exp(-0.5), math.exp(-1.0), 0.9999])
+    def test_one_log_equals_the_two_log_formula(self, alpha):
+        def two_logs(u):
+            neg = u * (1.0 + alpha) <= alpha
+            k_neg = np.ceil(-np.log(u * (1.0 + alpha)) / math.log(alpha))
+            k_pos = np.maximum(0.0, np.ceil(np.log((1.0 - u) * (1.0 + alpha)) / math.log(alpha) - 1.0))
+            return np.where(neg, k_neg, k_pos).astype(np.int64)
+
+        # the sides meet at u = alpha/(1+alpha)
+        c = alpha / (1.0 + alpha)
+        edges = np.array([2.0**-53, 0.5, 1.0 - 2.0**-53, c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)])
+        u = np.concatenate([edges, Cursor(RandomStream(29, 0)).uniforms_open(100_000)])
+        assert np.array_equal(two_sided_geometric_from_uniform(u, alpha), two_logs(u))
+        for e in edges.tolist():
+            assert two_sided_geometric_from_uniform(e, alpha) == int(two_logs(np.array(e)))
+
     def test_scalar_sampler_matches_transform(self):
         alpha = math.exp(-0.7)
         cursor = RandomStream(6, 6).cursor()

@@ -4,19 +4,20 @@ ones-over-zeros dataset family.
 
 Determinism contract
 --------------------
-Trial t of a cell seeded with s draws from a cursor opened at counter t of
-stream (s, 0): its estimate is exactly
-``run_mechanism(d, eps, mechanism, Cursor(RandomStream(s, 0), t))``.
-Trial 0 is stream (s, 0) from its start, the stream a release seeded s
-draws from.  A sweep's mechanisms share the seed of each (epsilon, dataset
-spec) pair: pair j, counted epsilon-major, takes SplitMix64 output j of the
-experiment seed (_derived_seed), so with one mechanism pair j is cell j.
+Trial t of a cell seeded with s reads doubles 2t and 2t+1 of stream (s, 0)
+(a zero gives way to the next double): its estimate is exactly
+``run_mechanism(d, eps, mechanism, trial_cursor(RandomStream(s, 0), t))``.
+Trial 0 is the pair a release seeded s draws.  A sweep's mechanisms share
+the seed of each (epsilon, dataset spec) pair: pair j, counted
+epsilon-major, takes SplitMix64 output j of the experiment seed
+(_derived_seed), so with one mechanism pair j is cell j.
 
 Trials are evaluated as arrays, and cells that share a draw (a sweep's
 pairs of one epsilon and bounds, or the family's members) as rows of one
 array: one ``noise.trial_uniform_pairs`` call draws each row from its own
-seed, the Laplace inverse CDF runs once at unit scale, and each plan, built
-once as for a release, scales that pair and runs the estimator and the
+seed into one (rows, trials, 2) array, the Laplace inverse CDF runs once
+over all of it at unit scale, and each plan, built once as for a release,
+scales its [..., 0] and [..., 1] views and runs the estimator and the
 squared error elementwise.  Each row holds one cell's squared errors in
 trial order and is reduced on its own along its contiguous axis with
 numpy's pairwise summation, bit for bit as a 1-D sum of that cell's errors,
@@ -28,8 +29,8 @@ cell with more runs alone.  A single cell (``squared_errors``,
 per-trial callable, and ``estimate_mse`` accepts and ignores ``workers``.
 
 ``worst_case_over_family`` keeps the read-only uniforms of its last call
-and their unit Laplace pair (``_family_uniforms``), so calls in a row with
-equal (seed, k, trials), such as the four at one epsilon, draw and
+and their unit Laplace transform (``_family_uniforms``), so calls in a row
+with equal (seed, k, trials), such as the four at one epsilon, draw and
 transform once, bit for bit as alone, and hold k * trials * 32 bytes.
 """
 
@@ -55,12 +56,13 @@ from .mechanisms import (
     true_mean,
 )
 from .noise import (
-    Cursor,
+    Cursor,  # noqa: F401  (perfbench/tracing.py patches it here)
     GeometricParams,
     RandomStream,
     check_count,
     check_uint64,
     laplace_from_uniform,
+    trial_cursor,
     trial_uniform_pairs,
     two_sided_geometric_from_uniform,
     two_sided_geometric_sample,  # noqa: F401  (per-trial form of the geometric draws; patched likewise)
@@ -176,19 +178,14 @@ def _batches(items, trials: int) -> list:
     return [items[i : i + step] for i in range(0, len(items), step)]
 
 
-def _unit_laplace(uniforms) -> tuple:
-    """``laplace_from_uniform(u, 1.0)`` of each of (u_a, u_b).  Times a scale,
-    the sign is exact and the product rounds once, so it is
-    ``laplace_from_uniform(u, scale)`` bit for bit, +0.0 at u = 1/2 included."""
-    return tuple(laplace_from_uniform(u, 1.0) for u in uniforms)
-
-
-def _squared_errors(plan: MechanismPlan, s, n, units, target, factor=1.0, out=None) -> np.ndarray:
+def _squared_errors(plan: MechanismPlan, s, n, unit, target, factor=1.0, out=None) -> np.ndarray:
     """(factor * estimate - target)^2 of the plan on aggregates (s, n), one
-    per trial, into ``out`` if given.  Given the unit Laplace pair of (u_a,
-    u_b), estimate t is run_mechanism on a cursor whose first two uniforms
-    are u_a[t], u_b[t]; column arrays s, n, target evaluate rows, one each."""
-    est = plan.estimate(s, n, *(unit * scale for unit, scale in zip(units, plan.scales)))[2]
+    per trial, into ``out`` if given.  Given ``unit = laplace_from_uniform(u,
+    1.0)`` of trial pairs u, estimate t is run_mechanism on a cursor whose
+    first two uniforms are u[..., t, :]: times a scale, the sign is exact and
+    the product rounds once, so it is ``laplace_from_uniform(u, scale)`` bit
+    for bit.  Column arrays s, n, target evaluate rows, one each."""
+    est = plan.estimate(s, n, *(unit[..., i] * scale for i, scale in enumerate(plan.scales)))[2]
     err = np.multiply(est, factor, out=est if out is None else out)
     err -= target
     err *= err
@@ -204,7 +201,7 @@ def squared_errors(
 ) -> np.ndarray:
     """Per-trial squared errors (estimate - true mean)^2, in trial order.
 
-    Trial t draws its noise from a cursor at counter t of stream (seed, 0).
+    Trial t draws its noise from ``trial_cursor(RandomStream(seed, 0), t)``.
     ``mechanism`` is a Mechanism, evaluated for all trials in one array pass
     as a one-row case of the sweep's rows, or -- for testing the estimator
     machinery itself -- any callable (dataset, eps, cursor) -> float, which
@@ -214,12 +211,12 @@ def squared_errors(
     if isinstance(mechanism, str):  # a Mechanism or its name
         plan = mechanism_plan(mechanism, d.lower, d.upper, eps)
         s, n, mu = np.array([(d.scaled_total, float(len(d)), true_mean(d))]).T[..., None]
-        return _squared_errors(plan, s, n, _unit_laplace(trial_uniform_pairs([seed], trials)), mu)[0]
+        return _squared_errors(plan, s, n, laplace_from_uniform(trial_uniform_pairs([seed], trials), 1.0), mu)[0]
     mu = true_mean(d)
     sq = np.empty(trials, dtype=np.float64)
     stream = RandomStream(seed, 0)
     for t in range(trials):
-        err = mechanism(d, eps, Cursor(stream, t)) - mu
+        err = mechanism(d, eps, trial_cursor(stream, t)) - mu
         sq[t] = err * err
     return sq
 
@@ -284,11 +281,11 @@ def sweep(config: ExperimentConfig) -> list[MseReport]:
                         d = generate_dataset(spec)
                         aggregates[spec] = (d.scaled_total, float(len(d)), true_mean(d))
                 s, n, mu = np.array([aggregates[pairs[j][1]] for j in batch]).T[..., None]
-                units = _unit_laplace(trial_uniform_pairs(seeds, config.trials))
+                unit = laplace_from_uniform(trial_uniform_pairs(seeds, config.trials), 1.0)
                 sq = np.empty((len(mechs), len(batch), config.trials))
                 for p, plan in enumerate(config.plans[(e, bounds)]):
                     failing = [p]
-                    _squared_errors(plan, s, n, units, mu, out=sq[p])
+                    _squared_errors(plan, s, n, unit, mu, out=sq[p])
             except Exception as exc:
                 raise RuntimeError(
                     f"sweep cell {', '.join(str(i) for p in failing for i in cells[p])} failed (mechanism="
@@ -327,22 +324,22 @@ def worst_case_over_family(
     geometric = mechanism == GEOMETRIC_COUNT
     alpha = GeometricParams(math.exp(-eps.epsilon)).alpha if geometric else None
     plan = None if geometric else mechanism_plan(mechanism, 0.0, 1.0, eps)  # members lie in [0, 1]
-    for members, (u_a, _, *units) in _family_uniforms(seed, k, trials):
+    for members, (u, unit) in _family_uniforms(seed, k, trials):
         if geometric:
-            err = np.square(two_sided_geometric_from_uniform(u_a, alpha), dtype=np.float64)
+            err = np.square(two_sided_geometric_from_uniform(u[..., 0], alpha), dtype=np.float64)
         else:  # member i holds i ones over n zeros: (s, n) = (i, n + i) exactly
             ones = np.array([float(i) for i in members])[:, None]
             sizes = np.array([float(n + i) for i in members])[:, None]
-            err = _squared_errors(plan, ones, sizes, units, ones, factor=n)
+            err = _squared_errors(plan, ones, sizes, unit, ones, factor=n)
         worst = max(worst, *(np.sum(err, axis=1) / trials).tolist())
     return worst
 
 
 @functools.lru_cache(maxsize=1)
 def _family_uniforms(seed: int, k: int, trials: int) -> tuple:
-    """``(members, (u_a, u_b, unit_a, unit_b))`` per batch of family
-    members 1..k, read-only: member i's row of uniforms, drawn from the
-    derived seed number i - 1, and their unit Laplace pair.
+    """``(members, (u, unit))`` per batch of family members 1..k, read-only:
+    the ``trial_uniform_pairs`` of the members, member i's row drawn from the
+    derived seed number i - 1, and their unit Laplace transform.
 
     The draws are a pure function of (seed, k, trials), and the one entry
     kept is keyed by exactly those, so calls in a row with equal (seed, k,
@@ -356,11 +353,10 @@ def _family_uniforms(seed: int, k: int, trials: int) -> tuple:
     """
     batches = []
     for members in _batches(range(1, k + 1), trials):
-        uniforms = trial_uniform_pairs([_derived_seed(seed, i - 1) for i in members], trials)
-        uniforms += _unit_laplace(uniforms)
-        for u in uniforms:
-            u.flags.writeable = False
-        batches.append((members, uniforms))
+        u = trial_uniform_pairs([_derived_seed(seed, i - 1) for i in members], trials)
+        unit = laplace_from_uniform(u, 1.0)
+        u.flags.writeable = unit.flags.writeable = False
+        batches.append((members, (u, unit)))
     return tuple(batches)
 
 

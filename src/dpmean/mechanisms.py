@@ -423,8 +423,8 @@ def run_mechanism(
 
     Accepts either a stream descriptor (a fresh cursor is opened) or an
     already-positioned cursor.  The harness evaluates trial t of a cell
-    seeded s as this function on ``Cursor(RandomStream(s, 0), t)``, a cursor
-    at counter t of stream (s, 0), with arrays in place of the two draws.
+    seeded s as this function on ``trial_cursor(RandomStream(s, 0), t)``,
+    with arrays in place of the two draws.
     """
     plan = mechanism_plan(mechanism, d.lower, d.upper, eps)
     return plan.mean_estimate(d, plan.noise(stream))

@@ -18,13 +18,12 @@ scalars or arrays, and the scalar samplers evaluate through them, so a
 scalar draw and an array draw from the same uniform are bit-identical.
 
 Philox is addressable by counter as well as by key (Salmon et al.,
-"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11): ``Cursor(stream, t)``
-opens a stream at its block t, and block t is block t of one long draw from
-the stream's start.  ``trial_uniform_pairs(seeds, trials)`` uses this to
-give, for each seed, the first two ``uniform_open()`` draws of a cursor at
-every counter 0..trials-1 of stream ``(seed, 0)`` from one
-``Generator.random`` call: one row per seed, for cells that are evaluated
-as rows of one array; each row is drawn from its own stream.
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11): ``Cursor(stream, c)``
+opens a stream at its block c of four doubles.  Trial t of a stream is the
+first two ``uniform_open()`` draws of ``trial_cursor(stream, t)``, a cursor
+past the stream's first 2t doubles: doubles 2t and 2t+1, a zero giving way
+to the next double, and trial 0 is the pair a release draws.
+``trial_uniform_pairs`` draws every trial of many streams as rows of one array.
 """
 
 from __future__ import annotations
@@ -172,10 +171,8 @@ def two_sided_geometric_from_uniform(u, alpha):
     The CDF of P[Z=k] = (1-alpha)/(1+alpha) * alpha^|k| is
     F(k) = alpha^(-k)/(1+alpha) for k <= -1 and 1 - alpha^(k+1)/(1+alpha)
     for k >= 0; this returns min{k : F(k) >= u}.  Accepts scalars or arrays.
-    One ``log`` per element: L = log(v)/log(alpha) with v = u(1+alpha) on
-    the negative side and (1-u)(1+alpha) on the other, and k = ceil(-L) or
-    max(0, ceil(L - 1)); since (-a)/b = -(a/b) exactly, that is the formula
-    with a ``log`` per side, bit for bit.
+    One ``log`` per element, of u(1+alpha) or (1-u)(1+alpha) by side: since
+    (-a)/b = -(a/b) exactly, the bits are those of a ``log`` per side.
     """
     u = np.asarray(u, dtype=np.float64)
     neg = u * (1.0 + alpha) <= alpha
@@ -192,34 +189,36 @@ def two_sided_geometric_sample(cursor: Cursor, params: GeometricParams) -> int:
     return two_sided_geometric_from_uniform(cursor.uniform_open(), params.alpha)
 
 
-def trial_uniform_pairs(seeds, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first two ``uniform_open()`` draws of ``Cursor(RandomStream(seed,
-    0), t)`` for t = 0..trials-1 and each of the sequence ``seeds``, as two
-    float64 arrays of shape (len(seeds), trials), one C-contiguous row per
-    seed.
+def trial_cursor(stream: RandomStream, t: int) -> Cursor:
+    """Trial t's cursor: ``stream`` past its first 2t doubles."""
+    cursor = Cursor(stream, t // 2)
+    if t % 2:
+        cursor._gen.random(2)
+    return cursor
 
-    Block t of a stream holds trial t's words, so one
-    ``Generator.random(4 * trials)`` call per row draws them all, through
-    the numpy function ``uniform_open`` calls; one cursor serves every row,
-    moved to the row's stream by ``jump_to``, which skips the OS-entropy
-    seeding that numpy gives each new Philox before its key.  Doubles 0
-    and 1 of each block go into the row in one strided copy; a row's
-    values depend on no other row.  A trial whose block holds a zero
-    uniform (probability 2^-53 per word) is drawn by its own cursor on its
-    own row's seed instead, which redraws exactly as ``uniform_open`` does.
+
+def trial_uniform_pairs(seeds, trials: int) -> np.ndarray:
+    """The first two ``uniform_open()`` draws of ``trial_cursor(RandomStream(
+    seed, 0), t)`` for t = 0..trials-1 and each of the sequence ``seeds``, as
+    one float64 array of shape (len(seeds), trials, 2), one row per seed.
+
+    One ``Generator.random`` call per row, the function ``uniform_open``
+    calls, writes the row's 2 * trials doubles into it; one cursor serves
+    every row, moved by ``jump_to``, which skips the OS-entropy seeding of a
+    new Philox.  A trial whose pair holds a zero double (probability 2^-53
+    each) is drawn again by its own ``trial_cursor``.
     """
     check_count("trials", trials)
     streams = [RandomStream(seed, 0) for seed in seeds]
-    u = np.empty((2, len(streams), trials))
+    u = np.empty((len(streams), trials, 2))
     for r, stream in enumerate(streams):
         if r:
             cursor.jump_to(stream)
         else:
             cursor = Cursor(stream)
-        u[:, r] = cursor._gen.random(4 * trials).reshape(trials, 4)[:, :2].T
+        cursor._gen.random(out=u[r])
     if not u.all():
-        for k in np.flatnonzero((u[0] == 0.0) | (u[1] == 0.0)).tolist():
-            r, t = divmod(k, trials)
-            cursor = Cursor(streams[r], t)
-            u[:, r, t] = cursor.uniform_open(), cursor.uniform_open()
-    return u[0], u[1]
+        for r, t in zip(*np.nonzero(~u.all(axis=2))):
+            cursor = trial_cursor(streams[r], t)
+            u[r, t] = cursor.uniform_open(), cursor.uniform_open()
+    return u

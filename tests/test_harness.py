@@ -36,7 +36,7 @@ from dpmean.mechanisms import (
     run_mechanism,
     true_mean,
 )
-from dpmean.noise import Cursor, GeometricParams, RandomStream, two_sided_geometric_sample
+from dpmean.noise import GeometricParams, RandomStream, trial_cursor, two_sided_geometric_sample
 
 EPS = PrivacyBudget(0.5)
 GATE_SEED = 20240601
@@ -164,13 +164,14 @@ class TestEstimateMse:
 
     @pytest.mark.parametrize("mech", list(Mechanism))
     def test_trials_equal_scalar_release_path(self, mech):
-        # trial t of the array engine is run_mechanism on a cursor at counter t of stream (seed, 0)
+        # trial t of the array engine is run_mechanism on a cursor past the
+        # first 2t doubles of stream (seed, 0)
         d = generate_dataset(DatasetSpec(DatasetKind.TWO_POINT, 300, 0.02, (0.0, 1.0)))
         eps = PrivacyBudget(0.2)
         mu = true_mean(d)
         expected = []
         for t in range(997):
-            err = run_mechanism(d, eps, mech, Cursor(RandomStream(8128, 0), t)).value - mu
+            err = run_mechanism(d, eps, mech, trial_cursor(RandomStream(8128, 0), t)).value - mu
             expected.append(err * err)
         assert squared_errors(d, mech, eps, 997, 8128).tolist() == expected
 
@@ -472,7 +473,7 @@ class TestWorstCaseFamily:
             member_seed = _derived_seed(seed, i - 1)
             errs = []
             for t in range(trials):
-                cursor = Cursor(RandomStream(member_seed, 0), t)
+                cursor = trial_cursor(RandomStream(member_seed, 0), t)
                 if mech == GEOMETRIC_COUNT:
                     errs.append(float(two_sided_geometric_sample(cursor, geo)))
                 else:
@@ -489,7 +490,7 @@ class TestWorstCaseFamily:
 
     @pytest.mark.parametrize("k, trials", [(3, 1366), (2, 4097)])
     def test_matches_scalar_loop_across_blocks(self, k, trials):
-        # each trial reads its own Philox block: thousands of blocks per member
+        # two trials per Philox block: thousands of blocks per member
         for mech in (GEOMETRIC_COUNT, Mechanism.INDEPENDENT):
             expected = self.scalar_worst(mech, 300, k, trials, 29)
             assert worst_case_over_family(mech, EPS, 300, k, trials, 29) == expected

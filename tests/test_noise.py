@@ -13,6 +13,7 @@ from dpmean.noise import (
     RandomStream,
     laplace_from_uniform,
     laplace_sample,
+    trial_cursor,
     trial_uniform_pairs,
     two_sided_geometric_from_uniform,
     two_sided_geometric_sample,
@@ -313,29 +314,31 @@ class TestGolden:
 
 
 def one_seed(seed, trials):
-    """``trial_uniform_pairs`` of the one-seed list [seed]: its one row."""
-    (u0,), (u1,) = trial_uniform_pairs([seed], trials)
-    return u0, u1
+    """``trial_uniform_pairs`` of the one-seed list [seed]: its one row, as
+    the (u_a, u_b) views of its trial pairs."""
+    (u,) = trial_uniform_pairs([seed], trials)
+    return u[:, 0], u[:, 1]
 
 
 class TestPhiloxKernel:
     """``trial_uniform_pairs``, drawn through numpy's C Philox kernel,
-    against a numpy Philox opened at counter t: trial t is a cursor at
-    counter t of stream (seed, 0)."""
+    against numpy's Philox from the stream's start: trial t reads doubles 2t
+    and 2t+1 of stream (seed, 0), the first two draws of a cursor past its
+    first 2t doubles."""
 
     @staticmethod
     def numpy_trial(seed, t):
-        return np.random.Generator(
-            np.random.Philox(key=np.array([seed, 0], dtype=np.uint64), counter=[t, 0, 0, 0])
-        )
+        """numpy's generator on stream (seed, 0), past its first 2t doubles."""
+        gen = numpy_stream(seed, 0)
+        gen.random(2 * t)
+        return gen
 
     def test_first_words_match_numpy_philox(self):
         trials = 10_000
         u0, u1 = one_seed(20240601, trials)
         assert u0.shape == u1.shape == (trials,)
-        for t in range(0, trials, 97):
-            gen = self.numpy_trial(20240601, t)
-            assert (gen.random(), gen.random()) == (u0[t], u1[t])
+        doubles = numpy_stream(20240601, 0).random(2 * trials)
+        assert np.array_equal(u0, doubles[0::2]) and np.array_equal(u1, doubles[1::2])
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
     def test_edge_keys(self, seed):
@@ -365,88 +368,125 @@ class TestPhiloxKernel:
 
     def test_pairs_equal_two_scalar_draws(self):
         u0, u1 = one_seed(77, 50)
-        for t in (0, 5, 17, 49):
-            cursor = Cursor(RandomStream(77, 0), t)
+        for t in (0, 5, 17, 48, 49):
+            cursor = trial_cursor(RandomStream(77, 0), t)
             assert (cursor.uniform_open(), cursor.uniform_open()) == (u0[t], u1[t])
 
+    @pytest.mark.parametrize("t", [0, 1, 2, 7, 4096, 4097])
+    def test_trial_cursor_is_past_two_doubles_per_trial(self, t):
+        # block t // 2 opens the cursor; an odd t starts halfway through it
+        cursor = trial_cursor(RandomStream(7, 3), t)
+        gen = numpy_stream(7, 3)
+        gen.random(2 * t)
+        assert [cursor.uniform_open() for _ in range(6)] == [gen.random() for _ in range(6)]
+
     @staticmethod
-    def force_zero_word(monkeypatch, seed, target):
-        """Make word 0 of trial ``target``'s block of stream (seed, 0) read
-        as a zero double in every draw that reaches it: the batch draw of a
-        cursor keyed (seed, 0) at counter 0, opened or moved there by
-        ``jump_to``, and the first draw of that trial's own cursor."""
+    def force_zero_double(monkeypatch, seed, index):
+        """Make double ``index`` of stream (seed, 0) read as 0.0 in every draw
+        that reaches it: the row draw of a cursor keyed (seed, 0), opened or
+        moved there by ``jump_to``, and the draws of a trial's own cursor,
+        the two it skips included."""
         real_init = Cursor.__init__
 
-        class ZeroedWord:
+        class ZeroedDouble:
             def __init__(self, gen):
                 self._gen = gen
 
-            def random(self, size=None):
+            def random(self, size=None, out=None):
                 st = self._gen.bit_generator.state
-                # the stream's words drawn before this call
+                # the stream's doubles drawn before this call
                 drawn = 4 * int(st["state"]["counter"][0]) + st["buffer_pos"] - 4
-                u = self._gen.random(1 if size is None else size)
-                if st["state"]["key"].tolist() == [seed, 0] and 0 <= 4 * target - drawn < len(u):
-                    u[4 * target - drawn] = 0.0
-                return float(u[0]) if size is None else u
+                scalar = size is None and out is None
+                u = self._gen.random(1 if scalar else size, out=out)
+                flat = u.reshape(-1)  # a view: ``out`` is C-contiguous
+                if st["state"]["key"].tolist() == [seed, 0] and 0 <= index - drawn < flat.size:
+                    flat[index - drawn] = 0.0
+                return float(u[0]) if scalar else u
 
         def init(self, stream, counter=0):
             real_init(self, stream, counter)
-            self._gen = ZeroedWord(self._gen)
+            self._gen = ZeroedDouble(self._gen)
 
         monkeypatch.setattr(Cursor, "__init__", init)
 
     def test_zero_word_redraws_like_scalar_cursor(self, monkeypatch):
+        # a zero at double 2t: the pair is doubles 2t+1 and 2t+2, and trial
+        # t+1 still reads 2t+2 and 2t+3
         seed, target = 31, 17
         clean = one_seed(seed, 64)
-        self.force_zero_word(monkeypatch, seed, target)
+        self.force_zero_double(monkeypatch, seed, 2 * target)
         u0, u1 = one_seed(seed, 64)
-        scalar = Cursor(RandomStream(seed, 0), target)
+        scalar = trial_cursor(RandomStream(seed, 0), target)
         assert (u0[target], u1[target]) == (scalar.uniform_open(), scalar.uniform_open())
-        # the redraw skips the zero word: the pair is words 1 and 2 of the block
-        gen = self.numpy_trial(seed, target)
-        gen.random()
-        assert (u0[target], u1[target]) == (gen.random(), gen.random())
+        doubles = numpy_stream(seed, 0).random(130)
+        assert (u0[target], u1[target]) == (doubles[2 * target + 1], doubles[2 * target + 2])
+        assert (u0[target + 1], u1[target + 1]) == (doubles[2 * target + 2], doubles[2 * target + 3])
         others = np.arange(64) != target
         assert np.array_equal(u0[others], clean[0][others])
         assert np.array_equal(u1[others], clean[1][others])
+
+    def test_zero_second_double_takes_the_next_one(self, monkeypatch):
+        # a zero at double 2t+1, for an even t: the pair is doubles 2t and 2t+2
+        seed, target = 31, 20
+        clean = one_seed(seed, 64)
+        self.force_zero_double(monkeypatch, seed, 2 * target + 1)
+        u0, u1 = one_seed(seed, 64)
+        scalar = trial_cursor(RandomStream(seed, 0), target)
+        assert (u0[target], u1[target]) == (scalar.uniform_open(), scalar.uniform_open())
+        doubles = numpy_stream(seed, 0).random(130)
+        assert (u0[target], u1[target]) == (doubles[2 * target], doubles[2 * target + 2])
+        others = np.arange(64) != target
+        assert np.array_equal(u0[others], clean[0][others])
+        assert np.array_equal(u1[others], clean[1][others])
+
+    @pytest.mark.parametrize("trials, index", [(63, 124), (63, 125), (64, 126), (64, 127)])
+    def test_zero_at_the_last_trial_reads_past_the_row(self, monkeypatch, trials, index):
+        # the last pair takes double 2 * trials, which the row draw never made
+        seed, target = 31, trials - 1
+        clean = one_seed(seed, trials)
+        self.force_zero_double(monkeypatch, seed, index)
+        u0, u1 = one_seed(seed, trials)
+        doubles = numpy_stream(seed, 0).random(2 * trials + 1)
+        expected = (doubles[2 * target + 1], doubles[2 * trials]) if index % 2 == 0 else (doubles[2 * target], doubles[2 * trials])
+        assert (u0[target], u1[target]) == expected
+        assert np.array_equal(u0[:-1], clean[0][:-1]) and np.array_equal(u1[:-1], clean[1][:-1])
 
     def test_zero_word_in_a_seed_batch_redraws_from_its_own_seed(self, monkeypatch):
         # of a sweep's cells, only the hit one moves, and it redraws from its own seed
         seeds, hit_seed, target = (31, 32, 33), 32, 17
         clean = [one_seed(s, 64) for s in seeds]
-        self.force_zero_word(monkeypatch, hit_seed, target)
+        self.force_zero_double(monkeypatch, hit_seed, 2 * target)
         pairs = {s: one_seed(s, 64) for s in seeds}
         for seed, (u0, u1) in zip(seeds, clean):
             if seed != hit_seed:
                 assert np.array_equal(pairs[seed][0], u0) and np.array_equal(pairs[seed][1], u1)
         u0, u1 = pairs[hit_seed]
         gen = self.numpy_trial(hit_seed, target)
-        gen.random()  # the zero word
+        gen.random()  # the zero double
         assert (u0[target], u1[target]) == (gen.random(), gen.random())
         assert np.array_equal(np.delete(u0, target), np.delete(clean[1][0], target))
 
     def test_zero_word_in_one_row_of_a_batch_call_moves_only_that_row(self, monkeypatch):
         seeds, hit_seed, target = [31, 32, 33], 32, 17
         clean = trial_uniform_pairs(seeds, 64)
-        self.force_zero_word(monkeypatch, hit_seed, target)
-        u0, u1 = trial_uniform_pairs(seeds, 64)
+        self.force_zero_double(monkeypatch, hit_seed, 2 * target)
+        u = trial_uniform_pairs(seeds, 64)
         moved = np.zeros((3, 64), dtype=bool)
         moved[1, target] = True
-        assert np.array_equal(u0[~moved], clean[0][~moved]) and np.array_equal(u1[~moved], clean[1][~moved])
+        assert np.array_equal(u[~moved], clean[~moved])
         gen = self.numpy_trial(hit_seed, target)
-        gen.random()  # the zero word
-        assert (u0[1, target], u1[1, target]) == (gen.random(), gen.random())
+        gen.random()  # the zero double
+        assert tuple(u[1, target]) == (gen.random(), gen.random())
 
     @pytest.mark.parametrize("trials", [1, 7, 4097])
     def test_rows_equal_per_seed_calls(self, trials):
         seeds = [0, 2**63, 2**64 - 1]
-        u0, u1 = trial_uniform_pairs(seeds, trials)
-        assert u0.shape == u1.shape == (3, trials)
+        u = trial_uniform_pairs(seeds, trials)
+        assert u.shape == (3, trials, 2)
         for row, seed in enumerate(seeds):
             a, b = one_seed(seed, trials)
-            assert u0[row].flags.c_contiguous and u1[row].flags.c_contiguous
-            assert np.array_equal(u0[row], a) and np.array_equal(u1[row], b)
+            assert u[row].flags.c_contiguous
+            assert np.array_equal(u[row, :, 0], a) and np.array_equal(u[row, :, 1], b)
 
     @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, True])
     def test_bad_seed_in_a_sequence_raises_the_scalar_error(self, bad):
@@ -467,7 +507,7 @@ class TestPhiloxKernel:
     def test_trial_pairs_equal_per_seed_calls(self, trials):
         for seed in (3, 2**64 - 1, 0, 2**40, 9):
             u_a, u_b = one_seed(seed, trials)
-            cursors = [Cursor(RandomStream(seed, 0), t) for t in range(trials)]
+            cursors = [trial_cursor(RandomStream(seed, 0), t) for t in range(trials)]
             expected = [(c.uniform_open(), c.uniform_open()) for c in cursors]
             assert list(zip(u_a.tolist(), u_b.tolist())) == expected
 

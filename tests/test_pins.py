@@ -38,34 +38,33 @@ MIXED_JSON = """\
                    {"kind": "two_point", "size": 1000, "target_mean": -1, "bounds": [-3, 7.5]}]}
 """
 
-# sha256 of the mixed sweep's CSV, recorded when the mechanisms of one
-# (epsilon, spec) pair came to share its seed
-MIXED_SHA256 = "499f647e12809cabadf2b3df41a795a516d916c23469da6c46d70e3824ccc623"
+# Every digest of a sweep or family output below was recorded when trial t
+# came to read doubles 2t and 2t+1 of its stream, not the first two of
+# Philox block t (stream layout v2).
+
+# sha256 of the mixed sweep's CSV
+MIXED_SHA256 = "8931b83e6e40594e56ee17477b74e52c58a4f1e7f3a86dc26ca4a527b373bb4e"
 
 # sha256 of the 12 lines "eps k mechanism worst.hex()" of the family at the
-# script's defaults (n = 1000, 10^4 trials, seed 7), recorded before the
-# calls at one epsilon shared their draws
-FAMILY_SHA256 = "b6d77bd404a0e49faeaf99b15deb083f3be556cafec0c65dfa96b3d0010bfb01"
+# script's defaults (n = 1000, 10^4 trials, seed 7)
+FAMILY_SHA256 = "bfbcc26cd7890a5fb87cbc336112d4579ae0021a5d2f930ad0a3c8c036c02add"
 
 # sha256 of `figures --preset NAME --seed 7 --trials 2000` CSVs of the
-# one-mechanism presets, recorded before the mechanisms of one (epsilon,
-# spec) pair came to share its seed: with one mechanism, pair j is cell j
+# one-mechanism presets
 SINGLE_MECHANISM_SHA256 = {
-    "fig2a": "0135ecff10ba35c69dbfbb696d79f1ded52c33a50c92edbf88c7e05681be9ec2",
-    "fig2b": "5e2dbca9a2c945702c89f8587393e4414c076048e60879590ded3cc3a95be166",
+    "fig2a": "58abfcb776ceec49efdb3d008f4a2900a985f6ceefa4a6a0ca3daaaadb509efa",
+    "fig2b": "c155e24e8f81437b42eba3244b6b9d66a0aee2898eb3e9e089cd0fe5d467b3a6",
 }
 
 # sha256 of `figures --preset fig2c --seed 7 --trials 200` output: the CSV,
-# recorded when the mechanisms of one (epsilon, spec) pair came to share its
-# seed, and its sidecar, recorded when dataset specs lost the family member
-# field
+# and its sidecar, recorded when dataset specs lost the family member field
 FIG2C_SHA256 = {
-    "fig2c.csv": "bf11b3f37e5b1a5942b921950fcac7572aa8c53ff4b357a5594a6b7b01b02d96",
+    "fig2c.csv": "bb4db5ecc79d0d90dfa37eae65f147be0a13c2c8a231b01a74013e1ff0735918",
     "fig2c.csv.meta.json": "3997fe322ff3bb32d353f3d5b3ff743d12f6b9c57c86eca60b82f3c32a70dbe3",
 }
 
 # sha256 of `figures --preset fig2c --seed 7`: 10^4 trials per cell
-FIG2C_FULL_SHA256 = "7dd232515de4356c4e0cf52e39638126a7156d5b221c464b75375a4cf1f81c78"
+FIG2C_FULL_SHA256 = "81354838e04000985e24d4b5c39de5dc4c9ce791bdfcd02359c1bc2622fd8f3e"
 
 
 def sha256(path: Path) -> str:

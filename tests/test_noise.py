@@ -447,8 +447,8 @@ class TestPhiloxKernel:
         self.force_zero_double(monkeypatch, seed, index)
         u0, u1 = one_seed(seed, trials)
         doubles = numpy_stream(seed, 0).random(2 * trials + 1)
-        expected = (doubles[2 * target + 1], doubles[2 * trials]) if index % 2 == 0 else (doubles[2 * target], doubles[2 * trials])
-        assert (u0[target], u1[target]) == expected
+        first = doubles[2 * target + 1] if index == 2 * target else doubles[2 * target]
+        assert (u0[target], u1[target]) == (first, doubles[2 * trials])
         assert np.array_equal(u0[:-1], clean[0][:-1]) and np.array_equal(u1[:-1], clean[1][:-1])
 
     def test_zero_word_in_a_seed_batch_redraws_from_its_own_seed(self, monkeypatch):

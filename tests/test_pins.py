@@ -101,7 +101,8 @@ class TestPins:
         for e in (0.2, 0.5, 1.0):
             k = preset_family_k(1000, e)
             for m in (GEOMETRIC_COUNT, *(x.value for x in Mechanism)):
-                lines.append(f"{e} {k} {m} {worst_case_over_family(m, PrivacyBudget(e), 1000, k, 10_000, 7).hex()}\n")
+                worst = worst_case_over_family(m, PrivacyBudget(e), 1000, k, 10_000, 7)
+                lines.append(f"{e} {k} {m} {worst.hex()}\n")
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == FAMILY_SHA256
 
     @pytest.mark.parametrize("name", sorted(SINGLE_MECHANISM_SHA256))

@@ -25,7 +25,10 @@ def main() -> int:
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot create --outdir: {exc}")
 
     for preset in PRESET_NAMES:
         argv = [

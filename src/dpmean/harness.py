@@ -51,6 +51,7 @@ from .mechanisms import (
     MechanismPlan,
     PrivacyBudget,
     check_bounds,
+    is_real,
     mechanism_plan,
     run_mechanism,  # noqa: F401  (per-trial form of _squared_errors; perfbench/tracing.py patches it here)
     true_mean,
@@ -110,6 +111,8 @@ class DatasetSpec:
         lo, hi = self.bounds
         check_count("dataset size", self.size)
         check_bounds(lo, hi)
+        if not is_real(self.target_mean):
+            raise ValueError(f"target mean must be a real number, got {self.target_mean!r}")
         if not (lo <= self.target_mean <= hi):
             raise ValueError(f"target mean {self.target_mean} outside bounds {self.bounds}")
 

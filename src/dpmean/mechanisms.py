@@ -52,6 +52,11 @@ class Mechanism(str, enum.Enum):
     TRANSFORMED = "transformed"
 
 
+def is_real(value: object) -> bool:
+    """Whether ``value`` is a real number and not a bool (JSON's true and false)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PrivacyBudget:
     """A privacy budget epsilon: a real number (not a bool), positive and
@@ -61,13 +66,15 @@ class PrivacyBudget:
 
     def __post_init__(self) -> None:
         e = self.epsilon
-        real = isinstance(e, numbers.Real) and not isinstance(e, bool)
-        if not (real and e > 0 and math.isfinite(e)):
+        if not (is_real(e) and e > 0 and math.isfinite(e)):
             raise ValueError(f"epsilon must be positive and finite, got {e!r}")
 
 
 def check_bounds(lower: float, upper: float) -> None:
-    """Raise ValueError unless [lower, upper] is a non-empty interval of finite width."""
+    """Raise ValueError unless [lower, upper] is a non-empty interval of finite
+    width whose ends are real numbers, not bools."""
+    if not (is_real(lower) and is_real(upper)):
+        raise ValueError(f"bounds must be real numbers, got [{lower!r}, {upper!r}]")
     if not (lower < upper and math.isfinite(upper - lower)):
         raise ValueError(
             f"bounds must be finite with lower < upper and a finite width, got [{lower}, {upper}]"

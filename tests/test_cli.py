@@ -859,28 +859,32 @@ class TestFigures:
         assert "bounds must be finite" in err and "internal error" not in err
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, reason",
         [
-            {"trials": 10.5},
-            {"trials": True},
-            {"seed": 1.5},
-            {"seed": True},
-            {"epsilons": ["0.5"]},
-            {"epsilons": [True]},
-            {"dataset_specs": [{**TWO_POINT_SPEC, "size": 10.5}]},
-            {"dataset_specs": [{**TWO_POINT_SPEC, "size": True}]},
-            {"dataset_specs": [{**TWO_POINT_SPEC, "kind": "lower_bound_family"}]},
-            {"mechanisms": []},
-            {"epsilons": []},
-            {"dataset_specs": []},
-            {"epsilons": [0.5, 5e-324]},  # a valid epsilon whose Laplace scale overflows
-            None,  # a non-object root
+            ({"trials": 10.5}, "trials must be an integer >= 1, got 10.5"),
+            ({"trials": True}, "trials must be an integer >= 1, got True"),
+            ({"seed": 1.5}, "seed must be an unsigned 64-bit integer, got 1.5"),
+            ({"seed": True}, "seed must be an unsigned 64-bit integer, got True"),
+            ({"epsilons": ["0.5"]}, "epsilon must be positive and finite, got '0.5'"),
+            ({"epsilons": [True]}, "epsilon must be positive and finite, got True"),
+            ({"dataset_specs": [{**TWO_POINT_SPEC, "size": 10.5}]}, "dataset size must be an integer >= 1"),
+            ({"dataset_specs": [{**TWO_POINT_SPEC, "size": True}]}, "dataset size must be an integer >= 1"),
+            ({"dataset_specs": [{**TWO_POINT_SPEC, "kind": "lower_bound_family"}]}, "not a valid DatasetKind"),
+            ({"mechanisms": []}, "a sweep needs at least one mechanism"),
+            ({"epsilons": []}, "a sweep needs at least one mechanism"),
+            ({"dataset_specs": []}, "a sweep needs at least one mechanism"),
+            # a valid epsilon whose Laplace scale overflows
+            ({"epsilons": [0.5, 5e-324]}, "Laplace scale must be positive and finite, got inf"),
+            (None, "bad sweep config"),  # a non-object root
+            ({"dataset_specs": [{**TWO_POINT_SPEC, "target_mean": True}]}, "target mean must be a real number"),
+            ({"dataset_specs": [{**TWO_POINT_SPEC, "bounds": [False, True]}]}, "bounds must be real numbers"),
         ],
         ids=["trials-float", "trials-bool", "seed-float", "seed-bool", "epsilon-str",
              "epsilon-bool", "size-float", "size-bool", "lower_bound_family",
-             "mechanisms-empty", "epsilons-empty", "specs-empty", "laplace-scale", "root-list"],
+             "mechanisms-empty", "epsilons-empty", "specs-empty", "laplace-scale", "root-list",
+             "target-mean-bool", "bounds-bool"],
     )
-    def test_malformed_config_rejected(self, tmp_path, edit, capsys):
+    def test_malformed_config_rejected(self, tmp_path, edit, reason, capsys):
         config = {
             "mechanisms": ["transformed"],
             "epsilons": [0.5],
@@ -893,7 +897,7 @@ class TestFigures:
         out_path = tmp_path / "x.csv"
         code, _, err = run(["figures", "--input", str(cfg_path), "--output", str(out_path)], capsys)
         assert code == 2
-        assert "bad sweep config" in err and "internal error" not in err
+        assert "bad sweep config" in err and reason in err and "internal error" not in err
         assert not out_path.exists()
 
     def test_preset_required(self, capsys):
@@ -963,18 +967,30 @@ class TestGeometry:
 
 
 class TestScripts:
-    @pytest.mark.parametrize("flag", ["--trials", "--n"])
-    def test_explore_lower_bound_rejects_zero_counts(self, flag, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "argv", ["explore_lower_bound.py", flag, "0"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--trials", "0"], "--trials must be at least 1"),
+            (["--n", "0"], "--n must be at least 1"),
+            (["--epsilons", "0"], "epsilon must be positive and finite, got 0.0"),
+            (["--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
+            # exp(-1e-17) rounds to 1.0: no geometric count noise has that decay
+            (["--epsilons", "1e-17"], "geometric alpha must lie in (0, 1), got 1.0"),
+        ],
+        ids=["--trials", "--n", "--epsilons", "--seed", "decay-rounds-to-one"],
+    )
+    def test_explore_lower_bound_rejects_bad_arguments(self, argv, message, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["explore_lower_bound.py", *argv])
         with pytest.raises(SystemExit) as exc:
             runpy.run_path(str(SCRIPTS / "explore_lower_bound.py"), run_name="__main__")
         assert exc.value.code == 2
-        assert f"{flag} must be at least 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
-    def test_explore_lower_bound_rejects_an_epsilon_whose_decay_rounds_to_one(self, monkeypatch, capsys):
-        # exp(-1e-17) rounds to 1.0: no geometric count noise has that decay
-        monkeypatch.setattr(sys, "argv", ["explore_lower_bound.py", "--epsilons", "1e-17"])
+    def test_reproduce_figures_rejects_an_outdir_that_is_a_file(self, tmp_path, monkeypatch, capsys):
+        outdir = tmp_path / "taken"
+        outdir.write_text("")
+        monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--outdir", str(outdir)])
         with pytest.raises(SystemExit) as exc:
-            runpy.run_path(str(SCRIPTS / "explore_lower_bound.py"), run_name="__main__")
+            runpy.run_path(str(SCRIPTS / "reproduce_figures.py"), run_name="__main__")
         assert exc.value.code == 2
-        assert "geometric alpha must lie in (0, 1), got 1.0" in capsys.readouterr().err
+        assert "cannot create --outdir" in capsys.readouterr().err

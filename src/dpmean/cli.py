@@ -42,7 +42,7 @@ from .harness import (
 )
 # BoundedDataset and run_mechanism are not called here: perfbench/tracing.py patches them on this module.
 from .mechanisms import BoundedDataset, Mechanism, PrivacyBudget, mechanism_plan, run_mechanism, scaled_partials  # noqa: F401
-from .noise import RandomStream
+from .noise import Cursor, RandomStream
 
 POLYGON_CSV_HEADER = "polygon_id,vertex_index,x,y"
 
@@ -294,7 +294,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         mechanism = Mechanism(args.mechanism)
         # The plan checks the bounds and that its noise scales are valid Laplace scales.
         plan = mechanism_plan(mechanism, args.lower, args.upper, eps)
-        stream = RandomStream(args.seed if args.seed is not None else _entropy_seed(), 0)
+        cursor = Cursor(RandomStream(args.seed if args.seed is not None else _entropy_seed(), 0))
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     # Each chunk is folded in as it is read: no array of the whole file.
@@ -308,7 +308,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise ValidationError(message)
     # Exactly one mechanism invocation: no retries, or the guarantee degrades.
     # An empty file releases the noise alone: (s, n) = (0, 0).
-    noise = plan.noise(stream)
+    noise = plan.noise(cursor)
     estimate = float(plan.estimate(math.fsum(partials), float(n), noise.za, noise.zb)[2])
     # No seed in the record: whoever knows it can subtract the noise.
     record = {
@@ -413,20 +413,24 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         ("complement_r1", COMPLEMENT_TRANSFORM, 1.0),
     ]
     lines = [POLYGON_CSV_HEADER]
-    print("covering balls for the aggregate differences +-(x, 1), x in [0, 1]")
-    print(f"  {'transform':<14} {'l1 radius':<10} {'covers':<7} vertices")
+    table = [
+        "covering balls for the aggregate differences +-(x, 1), x in [0, 1]",
+        f"  {'transform':<14} {'l1 radius':<10} {'covers':<7} vertices",
+    ]
     for name, transform, radius in balls:
         poly = ball_polygon(transform, radius)
         sens = l1_sensitivity_under(transform, UNIT_SEGMENT)
         verts = " ".join(f"({_fmt(x)},{_fmt(y)})" for x, y in poly.vertices)
-        print(f"  {name:<14} {_fmt(sens):<10} {str(sens <= radius):<7} {verts}")
+        table.append(f"  {name:<14} {_fmt(sens):<10} {str(sens <= radius):<7} {verts}")
         for idx, (x, y) in enumerate(poly.vertices):
             lines.append(f"{name},{idx},{_fmt(x)},{_fmt(y)}")
     out = Path(args.output) if args.output else Path("polygons.csv")
+    # Write first: a refused run prints nothing to stdout.
     try:
         out.write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise ValidationError(f"cannot write output {out}: {exc}") from exc
+    print("\n".join(table))
     print(f"wrote {out}")
     return 0
 

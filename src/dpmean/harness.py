@@ -6,7 +6,7 @@ Determinism contract
 --------------------
 Trial t of a cell seeded with s reads doubles 2t and 2t+1 of stream (s, 0)
 (a zero gives way to the next double): its estimate is exactly
-``run_mechanism(d, eps, mechanism, trial_cursor(RandomStream(s, 0), t))``.
+``run_mechanism(d, eps, mechanism, Cursor(RandomStream(s, 0), 2 * t))``.
 Trial 0 is the pair a release seeded s draws.  A sweep's mechanisms share
 the seed of each (epsilon, dataset spec) pair: pair j, counted
 epsilon-major, takes SplitMix64 output j of the experiment seed
@@ -57,13 +57,12 @@ from .mechanisms import (
     true_mean,
 )
 from .noise import (
-    Cursor,  # noqa: F401  (perfbench/tracing.py patches it here)
+    Cursor,
     GeometricParams,
     RandomStream,
     check_count,
     check_uint64,
     laplace_from_uniform,
-    trial_cursor,
     trial_uniform_pairs,
     two_sided_geometric_from_uniform,
     two_sided_geometric_sample,  # noqa: F401  (per-trial form of the geometric draws; patched likewise)
@@ -204,7 +203,7 @@ def squared_errors(
 ) -> np.ndarray:
     """Per-trial squared errors (estimate - true mean)^2, in trial order.
 
-    Trial t draws its noise from ``trial_cursor(RandomStream(seed, 0), t)``.
+    Trial t draws its noise from ``Cursor(RandomStream(seed, 0), 2 * t)``.
     ``mechanism`` is a Mechanism, evaluated for all trials in one array pass
     as a one-row case of the sweep's rows, or -- for testing the estimator
     machinery itself -- any callable (dataset, eps, cursor) -> float, which
@@ -219,7 +218,7 @@ def squared_errors(
     sq = np.empty(trials, dtype=np.float64)
     stream = RandomStream(seed, 0)
     for t in range(trials):
-        err = mechanism(d, eps, trial_cursor(stream, t)) - mu
+        err = mechanism(d, eps, Cursor(stream, 2 * t)) - mu
         sq[t] = err * err
     return sq
 

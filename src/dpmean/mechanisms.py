@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .noise import Cursor, LaplaceParams, RandomStream, laplace_sample
+from .noise import Cursor, LaplaceParams, laplace_sample
 
 
 class Mechanism(str, enum.Enum):
@@ -374,10 +374,8 @@ class MechanismPlan:
             w = self.upper - self.lower
             return first, second, w * _clip(_ratio(s_hat, n_hat), 0.0, 1.0) + self.lower
 
-    def noise(self, stream: RandomStream | Cursor) -> NoisePair:
-        """The plan's noise pair, drawn from a stream (a fresh cursor is
-        opened) or an already-positioned cursor: za first, then zb."""
-        cursor = stream.cursor() if isinstance(stream, RandomStream) else stream
+    def noise(self, cursor: Cursor) -> NoisePair:
+        """The plan's noise pair, drawn from ``cursor``: za first, then zb."""
         return NoisePair(*[laplace_sample(cursor, LaplaceParams(scale)) for scale in self.scales])
 
     def mean_estimate(self, d: BoundedDataset, noise: NoisePair) -> MeanEstimate:
@@ -424,14 +422,12 @@ def run_mechanism(
     d: BoundedDataset,
     eps: PrivacyBudget,
     mechanism: Mechanism,
-    stream: RandomStream | Cursor,
+    cursor: Cursor,
 ) -> MeanEstimate:
-    """Draw the mechanism's noise pair (za first, then zb) and estimate.
-
-    Accepts either a stream descriptor (a fresh cursor is opened) or an
-    already-positioned cursor.  The harness evaluates trial t of a cell
-    seeded s as this function on ``trial_cursor(RandomStream(s, 0), t)``,
-    with arrays in place of the two draws.
+    """Draw the mechanism's noise pair from ``cursor`` (za first, then zb)
+    and estimate.  The harness evaluates trial t of a cell seeded s as this
+    function on ``Cursor(RandomStream(s, 0), 2 * t)``, with arrays in place
+    of the two draws.
     """
     plan = mechanism_plan(mechanism, d.lower, d.upper, eps)
-    return plan.mean_estimate(d, plan.noise(stream))
+    return plan.mean_estimate(d, plan.noise(cursor))

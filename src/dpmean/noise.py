@@ -17,12 +17,10 @@ the Laplace transform can never return an infinity.  The inverse CDFs
 scalars or arrays, and the scalar samplers evaluate through them, so a
 scalar draw and an array draw from the same uniform are bit-identical.
 
-Philox is addressable by counter as well as by key (Salmon et al.,
-"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11): ``Cursor(stream, c)``
-opens a stream at its block c of four doubles.  Trial t of a stream is the
-first two ``uniform_open()`` draws of ``trial_cursor(stream, t)``, a cursor
-past the stream's first 2t doubles: doubles 2t and 2t+1, a zero giving way
-to the next double, and trial 0 is the pair a release draws.
+``Cursor(stream, offset)`` opens a stream past its first ``offset``
+doubles.  Trial t of a stream is the first two ``uniform_open()`` draws of
+``Cursor(stream, 2 * t)``: doubles 2t and 2t+1, a zero giving way to the
+next double, and trial 0 is the pair a release draws.
 ``trial_uniform_pairs`` draws every trial of many streams as rows of one array.
 """
 
@@ -66,13 +64,14 @@ class LaplaceParams:
 
 @dataclass(frozen=True)
 class GeometricParams:
-    """Decay alpha of the two-sided geometric distribution P[Z=k] ~ alpha^|k|."""
+    """Decay alpha of the two-sided geometric distribution P[Z=k] ~ alpha^|k|;
+    alpha = 0, the point mass at 0, is the decay exp(-eps) underflows to."""
 
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"geometric alpha must lie in (0, 1), got {self.alpha}")
+        if not (0.0 <= self.alpha < 1.0):
+            raise ValueError(f"geometric alpha must lie in [0, 1), got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -86,28 +85,27 @@ class RandomStream:
         check_uint64("seed", self.seed)
         check_uint64("stream_id", self.stream_id)
 
-    def cursor(self) -> "Cursor":
-        return Cursor(self)
-
 
 class Cursor:
     """Stateful draw position within one stream.
 
-    A cursor opens at Philox block ``counter`` of its stream (0, the
-    stream's start, by default).  It owns its generator state and must not
-    be shared between concurrent workers; distinct cursors are safe to use in
-    parallel.  ``jump_to`` repositions an existing cursor at the start of
-    another stream without reallocating, and is bit-identical to constructing
-    a fresh cursor for that stream.
+    A cursor opens past the first ``offset`` doubles of its stream (0 by
+    default): Philox is addressable by counter (Salmon et al., SC'11), so it
+    opens block ``offset // 4`` of four doubles and skips ``offset % 4``.  It
+    owns its generator state and must not be shared between concurrent
+    workers.  ``jump_to`` repositions an existing cursor at the start of
+    another stream without reallocating, and is bit-identical to
+    constructing a fresh cursor for that stream.
     """
 
-    def __init__(self, stream: RandomStream, counter: int = 0):
+    def __init__(self, stream: RandomStream, offset: int = 0):
+        offset = check_uint64("offset", offset)
         self._bitgen = np.random.Philox(
-            key=np.array([stream.seed, stream.stream_id], dtype=np.uint64),
-            counter=check_uint64("counter", counter),
+            key=np.array([stream.seed, stream.stream_id], dtype=np.uint64), counter=offset // 4
         )
         self._gen = np.random.Generator(self._bitgen)
         self._state = self._bitgen.state
+        self._gen.random(offset % 4)
 
     def jump_to(self, stream: RandomStream) -> None:
         """Reposition this cursor at the origin of ``stream``."""
@@ -173,13 +171,14 @@ def two_sided_geometric_from_uniform(u, alpha):
     for k >= 0; this returns min{k : F(k) >= u}.  Accepts scalars or arrays.
     One ``log`` per element, of u(1+alpha) or (1-u)(1+alpha) by side: since
     (-a)/b = -(a/b) exactly, the bits are those of a ``log`` per side.
+    At alpha = 0, log(alpha) is -inf and every k is 0.
     """
     u = np.asarray(u, dtype=np.float64)
     neg = u * (1.0 + alpha) <= alpha
     v = np.where(neg, u, 1.0 - u)
     v *= 1.0 + alpha
     np.log(v, out=v)
-    v /= math.log(alpha)
+    v /= math.log(alpha) if alpha else -math.inf
     k = np.where(neg, np.ceil(-v), np.maximum(0.0, np.ceil(v - 1.0)))
     return k.astype(np.int64) if k.ndim else int(k)
 
@@ -189,24 +188,16 @@ def two_sided_geometric_sample(cursor: Cursor, params: GeometricParams) -> int:
     return two_sided_geometric_from_uniform(cursor.uniform_open(), params.alpha)
 
 
-def trial_cursor(stream: RandomStream, t: int) -> Cursor:
-    """Trial t's cursor: ``stream`` past its first 2t doubles."""
-    cursor = Cursor(stream, t // 2)
-    if t % 2:
-        cursor._gen.random(2)
-    return cursor
-
-
 def trial_uniform_pairs(seeds, trials: int) -> np.ndarray:
-    """The first two ``uniform_open()`` draws of ``trial_cursor(RandomStream(
-    seed, 0), t)`` for t = 0..trials-1 and each of the sequence ``seeds``, as
+    """The first two ``uniform_open()`` draws of ``Cursor(RandomStream(seed,
+    0), 2 * t)`` for t = 0..trials-1 and each of the sequence ``seeds``, as
     one float64 array of shape (len(seeds), trials, 2), one row per seed.
 
     One ``Generator.random`` call per row, the function ``uniform_open``
     calls, writes the row's 2 * trials doubles into it; one cursor serves
     every row, moved by ``jump_to``, which skips the OS-entropy seeding of a
     new Philox.  A trial whose pair holds a zero double (probability 2^-53
-    each) is drawn again by its own ``trial_cursor``.
+    each) is drawn again by its own cursor, opened at offset 2t.
     """
     check_count("trials", trials)
     streams = [RandomStream(seed, 0) for seed in seeds]
@@ -219,6 +210,6 @@ def trial_uniform_pairs(seeds, trials: int) -> np.ndarray:
         cursor._gen.random(out=u[r])
     if not u.all():
         for r, t in zip(*np.nonzero(~u.all(axis=2))):
-            cursor = trial_cursor(streams[r], t)
+            cursor = Cursor(streams[r], 2 * t)
             u[r, t] = cursor.uniform_open(), cursor.uniform_open()
     return u

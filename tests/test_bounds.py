@@ -192,10 +192,10 @@ class TestGeometricCountVariance:
             assert geometric_count_variance(eps) / (2 / eps**2) == pytest.approx(1.0, abs=2 * eps)
 
     def test_matches_empirical_sampler(self):
-        from dpmean.noise import RandomStream, two_sided_geometric_from_uniform
+        from dpmean.noise import Cursor, RandomStream, two_sided_geometric_from_uniform
 
         eps = 0.5
-        us = RandomStream(777, 0).cursor().uniforms_open(1_000_000)
+        us = Cursor(RandomStream(777, 0)).uniforms_open(1_000_000)
         zs = two_sided_geometric_from_uniform(us, math.exp(-eps))
         assert abs(zs.var() / geometric_count_variance(eps) - 1) < 0.02
 

@@ -15,7 +15,7 @@ from dpmean import cli
 from dpmean.cli import main
 from dpmean.harness import CSV_HEADER
 from dpmean.mechanisms import BoundedDataset, Mechanism, PrivacyBudget, run_mechanism
-from dpmean.noise import RandomStream
+from dpmean.noise import Cursor, RandomStream
 
 
 TWO_POINT_SPEC = {"kind": "two_point", "size": 30, "target_mean": 0.5, "bounds": [0.0, 1.0]}
@@ -672,7 +672,7 @@ class TestStreamingRelease:
     @pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (-3.0, 7.5)])
     def test_release_equals_run_mechanism_on_the_whole_dataset(self, tmp_path, capsys, mechanism, lower, upper):
         # The reference is the release before the fold: the file's values as
-        # one BoundedDataset, and run_mechanism on a stream of the same seed.
+        # one BoundedDataset, and run_mechanism on a cursor of the same seed.
         # Fixed-width, 17-digit and ragged lines over several chunks, and an
         # empty file.
         values = np.random.default_rng(5).uniform(0, 1, 30_000).tolist()
@@ -688,7 +688,7 @@ class TestStreamingRelease:
             )
             assert code == 0
             d = BoundedDataset([float(line) for line in text.split()], lower, upper)
-            expected = run_mechanism(d, PrivacyBudget(0.5), Mechanism(mechanism), RandomStream(123, 0))
+            expected = run_mechanism(d, PrivacyBudget(0.5), Mechanism(mechanism), Cursor(RandomStream(123, 0)))
             assert json.loads(out)["estimate"] == expected.value
 
 
@@ -900,6 +900,22 @@ class TestFigures:
         assert "bad sweep config" in err and reason in err and "internal error" not in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize(
+        "flag, reason",
+        [
+            (["--trials", "0"], "trials must be an integer >= 1, got 0"),
+            (["--seed", str(2**64)], f"seed must be an unsigned 64-bit integer, got {2**64}"),
+        ],
+        ids=["trials", "seed"],
+    )
+    def test_preset_rejects_bad_trials_and_seed(self, tmp_path, flag, reason, capsys):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run(["figures", "--preset", "fig2c", *flag, "--output", str(out_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert reason in err and "internal error" not in err
+        assert not out_path.exists()
+
     def test_preset_required(self, capsys):
         code, _, err = run(["figures"], capsys)
         assert code == 2
@@ -958,6 +974,23 @@ class TestGeometry:
                 assert verts[i][0] == -verts[i + 2][0]
                 assert verts[i][1] == -verts[i + 2][1]
 
+    def test_unwritable_output_prints_nothing(self, tmp_path, capsys):
+        out_path = tmp_path / "no" / "dir" / "polys.csv"
+        code, out, err = run(["geometry", "--output", str(out_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"cannot write output {out_path}" in err
+
+    def test_internal_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        def fail(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "ball_polygon", fail)
+        code, out, err = run(["geometry", "--output", str(tmp_path / "polys.csv")], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "internal error: boom\n"
+
     def test_complement_ball_vertices(self, tmp_path, capsys):
         out_path = tmp_path / "polys.csv"
         run(["geometry", "--output", str(out_path)], capsys)
@@ -975,7 +1008,7 @@ class TestScripts:
             (["--epsilons", "0"], "epsilon must be positive and finite, got 0.0"),
             (["--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
             # exp(-1e-17) rounds to 1.0: no geometric count noise has that decay
-            (["--epsilons", "1e-17"], "geometric alpha must lie in (0, 1), got 1.0"),
+            (["--epsilons", "1e-17"], "geometric alpha must lie in [0, 1), got 1.0"),
         ],
         ids=["--trials", "--n", "--epsilons", "--seed", "decay-rounds-to-one"],
     )
@@ -985,6 +1018,15 @@ class TestScripts:
             runpy.run_path(str(SCRIPTS / "explore_lower_bound.py"), run_name="__main__")
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_explore_lower_bound_takes_a_large_epsilon(self, monkeypatch, capsys):
+        # exp(-800) underflows to 0.0, the decay of the point mass at 0
+        monkeypatch.setattr(sys, "argv", ["explore_lower_bound.py", "--epsilons", "800", "--trials", "10"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(SCRIPTS / "explore_lower_bound.py"), run_name="__main__")
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "800.0" in out
 
     def test_reproduce_figures_rejects_an_outdir_that_is_a_file(self, tmp_path, monkeypatch, capsys):
         outdir = tmp_path / "taken"

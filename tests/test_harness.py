@@ -36,7 +36,7 @@ from dpmean.mechanisms import (
     run_mechanism,
     true_mean,
 )
-from dpmean.noise import GeometricParams, RandomStream, trial_cursor, two_sided_geometric_sample
+from dpmean.noise import Cursor, GeometricParams, RandomStream, two_sided_geometric_sample
 
 EPS = PrivacyBudget(0.5)
 GATE_SEED = 20240601
@@ -171,7 +171,7 @@ class TestEstimateMse:
         mu = true_mean(d)
         expected = []
         for t in range(997):
-            err = run_mechanism(d, eps, mech, trial_cursor(RandomStream(8128, 0), t)).value - mu
+            err = run_mechanism(d, eps, mech, Cursor(RandomStream(8128, 0), 2 * t)).value - mu
             expected.append(err * err)
         assert squared_errors(d, mech, eps, 997, 8128).tolist() == expected
 
@@ -454,6 +454,12 @@ class TestWorstCaseFamily:
         value = worst_case_over_family(GEOMETRIC_COUNT, EPS, 1000, 3, 30_000, 13)
         assert value == pytest.approx(geometric_count_variance(0.5), rel=0.05)
 
+    def test_geometric_count_above_the_underflow_of_its_decay(self):
+        # exp(-800) underflows to 0.0: the count is released exactly, as the
+        # analytic variance says
+        value = worst_case_over_family(GEOMETRIC_COUNT, PrivacyBudget(800), 1000, 1, 10, 7)
+        assert value == geometric_count_variance(800) == 0.0
+
     def test_degenerate_single_member(self):
         value = worst_case_over_family(Mechanism.TRANSFORMED, EPS, 200, 1, 400, 13)
         assert value >= 0.0
@@ -473,7 +479,7 @@ class TestWorstCaseFamily:
             member_seed = _derived_seed(seed, i - 1)
             errs = []
             for t in range(trials):
-                cursor = trial_cursor(RandomStream(member_seed, 0), t)
+                cursor = Cursor(RandomStream(member_seed, 0), 2 * t)
                 if mech == GEOMETRIC_COUNT:
                     errs.append(float(two_sided_geometric_sample(cursor, geo)))
                 else:

@@ -23,7 +23,7 @@ from dpmean.mechanisms import (
     scaled_partials,
     true_mean,
 )
-from dpmean.noise import RandomStream
+from dpmean.noise import Cursor, RandomStream
 
 EPS = PrivacyBudget(0.5)
 ZERO = NoisePair(0.0, 0.0)
@@ -455,21 +455,20 @@ class TestTransformed:
 class TestRunMechanism:
     def test_golden_pinned(self):
         d = unit_dataset([0.5] * 1000)
-        est = run_mechanism(d, EPS, Mechanism.TRANSFORMED, RandomStream(2024, 0))
+        est = run_mechanism(d, EPS, Mechanism.TRANSFORMED, Cursor(RandomStream(2024, 0)))
         assert est.value == RUN_MECHANISM_GOLDEN
 
     def test_mechanisms_differ_on_same_seed(self):
         d = unit_dataset([0.5] * 1000)
-        stream = RandomStream(2024, 0)
-        a = run_mechanism(d, EPS, Mechanism.INDEPENDENT, stream)
-        b = run_mechanism(d, EPS, Mechanism.SHIFTED, RandomStream(2024, 0))
+        a = run_mechanism(d, EPS, Mechanism.INDEPENDENT, Cursor(RandomStream(2024, 0)))
+        b = run_mechanism(d, EPS, Mechanism.SHIFTED, Cursor(RandomStream(2024, 0)))
         assert a.value != b.value
 
     def test_output_always_in_bounds(self):
         d = BoundedDataset((2.5, 3.0), 2.0, 4.0)
         for mech in Mechanism:
             for sid in range(50):
-                est = run_mechanism(d, PrivacyBudget(0.05), mech, RandomStream(5, sid))
+                est = run_mechanism(d, PrivacyBudget(0.05), mech, Cursor(RandomStream(5, sid)))
                 assert 2.0 <= est.value <= 4.0
 
     def test_noise_scales(self):

@@ -13,7 +13,6 @@ from dpmean.noise import (
     RandomStream,
     laplace_from_uniform,
     laplace_sample,
-    trial_cursor,
     trial_uniform_pairs,
     two_sided_geometric_from_uniform,
     two_sided_geometric_sample,
@@ -67,6 +66,36 @@ def geo_cdf(k: int, alpha: float) -> float:
     return 1 - alpha ** (k + 1) / (1 + alpha)
 
 
+def force_zero_double(monkeypatch, seed, index):
+    """Make double ``index`` of stream (seed, 0) read as 0.0 in every draw
+    that reaches it: the draws of a cursor keyed (seed, 0), opened there at
+    any offset or moved there by ``jump_to``.  The doubles a cursor skips to
+    reach its offset are drawn before the patch applies; they are never
+    read."""
+    real_init = Cursor.__init__
+
+    class ZeroedDouble:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def random(self, size=None, out=None):
+            st = self._gen.bit_generator.state
+            # the stream's doubles drawn before this call
+            drawn = 4 * int(st["state"]["counter"][0]) + st["buffer_pos"] - 4
+            scalar = size is None and out is None
+            u = self._gen.random(1 if scalar else size, out=out)
+            flat = u.reshape(-1)  # a view: ``out`` is C-contiguous
+            if st["state"]["key"].tolist() == [seed, 0] and 0 <= index - drawn < flat.size:
+                flat[index - drawn] = 0.0
+            return float(u[0]) if scalar else u
+
+    def init(self, stream, offset=0):
+        real_init(self, stream, offset)
+        self._gen = ZeroedDouble(self._gen)
+
+    monkeypatch.setattr(Cursor, "__init__", init)
+
+
 class TestParams:
     def test_laplace_scale_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -77,9 +106,10 @@ class TestParams:
             LaplaceParams(math.inf)
 
     def test_geometric_alpha_in_open_interval(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
+        for bad in (1.0, -0.2, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"geometric alpha must lie in \[0, 1\)"):
                 GeometricParams(bad)
+        GeometricParams(0.0)  # exp(-eps) underflows to it for eps above about 745.13
 
     def test_stream_ids_are_uint64(self):
         for seed, sid in ((-1, 0), (0, 2**64), (1.5, 0), (0, 1.0), (True, 0), (0, np.bool_(True))):
@@ -99,7 +129,7 @@ class TestLaplaceTransform:
 
     def test_scalar_sampler_matches_transform(self):
         # scalar draws and one array evaluation agree bit for bit
-        cursor = RandomStream(5, 5).cursor()
+        cursor = Cursor(RandomStream(5, 5))
         us = Cursor(RandomStream(5, 5)).uniforms_open(200)
         xs = laplace_from_uniform(us, 0.7)
         for u, x in zip(us, xs):
@@ -158,7 +188,7 @@ class TestLaplaceTransform:
 
     def test_moments_over_million_draws(self):
         b = 1.5
-        cursor = RandomStream(123, 0).cursor()
+        cursor = Cursor(RandomStream(123, 0))
         xs = laplace_from_uniform(cursor.uniforms_open(1_000_000), b)
         n = xs.size
         assert abs(xs.mean()) < 5 * b / math.sqrt(n)
@@ -168,9 +198,18 @@ class TestLaplaceTransform:
 
 class TestGeometricTransform:
     def test_degenerate_small_alpha_is_zero(self):
-        cursor = RandomStream(1, 1).cursor()
+        cursor = Cursor(RandomStream(1, 1))
         samples = [two_sided_geometric_sample(cursor, GeometricParams(1e-12)) for _ in range(200)]
         assert all(s == 0 for s in samples)
+
+    def test_zero_alpha_is_the_point_mass_at_zero(self):
+        # the decay exp(-eps) underflows to 0.0 for eps above about 745.13; a
+        # RuntimeWarning here fails the test (pyproject.toml's filterwarnings)
+        u = np.concatenate([[2.0**-53, 0.5, 1.0 - 2.0**-53], Cursor(RandomStream(1, 2)).uniforms_open(1000)])
+        zs = two_sided_geometric_from_uniform(u, 0.0)
+        assert zs.dtype == np.int64 and not zs.any()
+        assert two_sided_geometric_from_uniform(0.5, 0.0) == 0
+        assert two_sided_geometric_sample(Cursor(RandomStream(1, 2)), GeometricParams(0.0)) == 0
 
     def test_p_zero_and_variance_against_series(self):
         alpha = math.exp(-0.5)
@@ -181,13 +220,13 @@ class TestGeometricTransform:
 
     def test_empirical_variance_million_draws(self):
         alpha = math.exp(-0.5)
-        cursor = RandomStream(321, 0).cursor()
+        cursor = Cursor(RandomStream(321, 0))
         zs = two_sided_geometric_from_uniform(cursor.uniforms_open(1_000_000), alpha)
         assert abs(zs.var() / GEO_VAR_HALF - 1) < 0.02
 
     def test_empirical_p0(self):
         alpha = math.exp(-0.5)
-        cursor = RandomStream(322, 0).cursor()
+        cursor = Cursor(RandomStream(322, 0))
         zs = two_sided_geometric_from_uniform(cursor.uniforms_open(400_000), alpha)
         assert (zs == 0).mean() == pytest.approx(GEO_P0_HALF, abs=0.005)
 
@@ -209,7 +248,7 @@ class TestGeometricTransform:
 
     def test_scalar_sampler_matches_transform(self):
         alpha = math.exp(-0.7)
-        cursor = RandomStream(6, 6).cursor()
+        cursor = Cursor(RandomStream(6, 6))
         probe = Cursor(RandomStream(6, 6))
         for _ in range(500):
             u = probe.uniform_open()
@@ -229,7 +268,7 @@ class TestGeometricTransform:
 
     def test_symmetry_of_distribution(self):
         alpha = 0.6
-        cursor = RandomStream(55, 0).cursor()
+        cursor = Cursor(RandomStream(55, 0))
         zs = two_sided_geometric_from_uniform(cursor.uniforms_open(500_000), alpha)
         assert abs(zs.mean()) < 0.01
         assert abs((zs > 0).mean() - (zs < 0).mean()) < 0.005
@@ -237,21 +276,21 @@ class TestGeometricTransform:
 
 class TestStreams:
     def test_same_stream_reproduces(self):
-        a = RandomStream(42, 0).cursor()
-        b = RandomStream(42, 0).cursor()
+        a = Cursor(RandomStream(42, 0))
+        b = Cursor(RandomStream(42, 0))
         assert [a.uniform_open() for _ in range(100)] == [b.uniform_open() for _ in range(100)]
 
     def test_distinct_stream_ids_decorrelated(self):
         # at 10^4 draws the 0.1 gate sits 10 standard errors out
-        a = RandomStream(42, 0).cursor().uniforms_open(10_000)
-        b = RandomStream(42, 1).cursor().uniforms_open(10_000)
+        a = Cursor(RandomStream(42, 0)).uniforms_open(10_000)
+        b = Cursor(RandomStream(42, 1)).uniforms_open(10_000)
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) < 0.1
         assert not np.array_equal(a[:100], b[:100])
 
     def test_distinct_seeds_differ(self):
-        a = RandomStream(42, 0).cursor()
-        b = RandomStream(43, 0).cursor()
+        a = Cursor(RandomStream(42, 0))
+        b = Cursor(RandomStream(43, 0))
         assert a.uniform_open() != b.uniform_open()
 
     def test_jump_to_equals_fresh_cursor(self):
@@ -263,32 +302,42 @@ class TestStreams:
                 fresh.uniform_open() for _ in range(8)
             ]
 
-    def test_cursor_at_counter_skips_whole_blocks(self):
-        # block t of a stream is the 4 words after the first 4t
-        for t in (0, 1, 2**40):
-            at = Cursor(RandomStream(7, 3), t)
+    def test_cursor_at_offset_skips_that_many_doubles(self):
+        # a cursor at offset k draws the stream's doubles k, k+1, ...: one
+        # 64-bit word each, and numpy's advance(b) skips b blocks of four
+        for offset in (*range(8), 2**42 + 3):
+            at = Cursor(RandomStream(7, 3), offset)
             gen = numpy_stream(7, 3)
-            if t < 2**20:
-                gen.bit_generator.random_raw(4 * t)
-            else:
-                gen.bit_generator.advance(t)
-            assert [at.uniform_open() for _ in range(6)] == [gen.random() for _ in range(6)]
+            gen.bit_generator.advance(offset // 4)
+            gen.bit_generator.random_raw(offset % 4)
+            assert [at.uniform_open() for _ in range(6)] == [gen.random() for _ in range(6)], offset
 
-    def test_cursor_counter_validated(self):
+    def test_cursor_offset_validated(self):
         for bad in (-1, 2**64, 1.5, True):
-            with pytest.raises(ValueError, match="counter must be an unsigned 64-bit integer"):
+            with pytest.raises(ValueError, match="offset must be an unsigned 64-bit integer"):
                 Cursor(RandomStream(7, 0), bad)
 
+    @pytest.mark.parametrize("index", [0, 37, 63])
+    def test_batch_zero_redraws_the_next_double(self, monkeypatch, index):
+        # the zero's slot takes double ``size``, the first the batch did not draw
+        size = 64
+        doubles = numpy_stream(41, 0).random(size + 1)
+        force_zero_double(monkeypatch, 41, index)
+        u = Cursor(RandomStream(41, 0)).uniforms_open(size)
+        assert u.all()
+        assert u[index] == doubles[size]
+        assert np.array_equal(np.delete(u, index), np.delete(doubles[:size], index))
+
     def test_batch_uniforms_match_scalar(self):
-        a = RandomStream(9, 9).cursor()
-        b = RandomStream(9, 9).cursor()
+        a = Cursor(RandomStream(9, 9))
+        b = Cursor(RandomStream(9, 9))
         xs = a.uniforms_open(64)
         ys = np.array([b.uniform_open() for _ in range(64)])
         assert np.array_equal(xs, ys)
 
     def test_cross_correlation_many_streams(self):
         # pairwise correlation over a block of streams stays small
-        base = [RandomStream(1000, sid).cursor().uniforms_open(200) for sid in range(8)]
+        base = [Cursor(RandomStream(1000, sid)).uniforms_open(200) for sid in range(8)]
         for i in range(8):
             for j in range(i + 1, 8):
                 assert abs(np.corrcoef(base[i], base[j])[0, 1]) < 0.25
@@ -296,19 +345,19 @@ class TestStreams:
 
 class TestGolden:
     def test_laplace_draws_pinned(self):
-        cursor = RandomStream(9001, 7).cursor()
+        cursor = Cursor(RandomStream(9001, 7))
         params = LaplaceParams(1.5)
         draws = tuple(laplace_sample(cursor, params) for _ in range(16))
         assert draws == LAPLACE_GOLDEN
 
     def test_geometric_draws_pinned(self):
-        cursor = RandomStream(9001, 8).cursor()
+        cursor = Cursor(RandomStream(9001, 8))
         params = GeometricParams(math.exp(-0.5))
         draws = tuple(two_sided_geometric_sample(cursor, params) for _ in range(16))
         assert draws == GEOMETRIC_GOLDEN
 
     def test_uniform_draws_pinned(self):
-        cursor = RandomStream(9001, 9).cursor()
+        cursor = Cursor(RandomStream(9001, 9))
         draws = tuple(cursor.uniform_open() for _ in range(4))
         assert draws == UNIFORM_GOLDEN
 
@@ -358,7 +407,7 @@ class TestPhiloxKernel:
     def test_trial_zero_is_the_release_stream(self, seed):
         # `dpmean estimate` draws from RandomStream(seed, 0) from its start
         u0, u1 = one_seed(seed, 5)
-        cursor = RandomStream(seed, 0).cursor()
+        cursor = Cursor(RandomStream(seed, 0))
         assert (cursor.uniform_open(), cursor.uniform_open()) == (u0[0], u1[0])
 
     def test_seed_validated(self):
@@ -369,54 +418,26 @@ class TestPhiloxKernel:
     def test_pairs_equal_two_scalar_draws(self):
         u0, u1 = one_seed(77, 50)
         for t in (0, 5, 17, 48, 49):
-            cursor = trial_cursor(RandomStream(77, 0), t)
+            cursor = Cursor(RandomStream(77, 0), 2 * t)
             assert (cursor.uniform_open(), cursor.uniform_open()) == (u0[t], u1[t])
 
     @pytest.mark.parametrize("t", [0, 1, 2, 7, 4096, 4097])
     def test_trial_cursor_is_past_two_doubles_per_trial(self, t):
-        # block t // 2 opens the cursor; an odd t starts halfway through it
-        cursor = trial_cursor(RandomStream(7, 3), t)
+        # trial t's cursor opens at offset 2t: an odd t starts halfway
+        # through Philox block t // 2
+        cursor = Cursor(RandomStream(7, 3), 2 * t)
         gen = numpy_stream(7, 3)
         gen.random(2 * t)
         assert [cursor.uniform_open() for _ in range(6)] == [gen.random() for _ in range(6)]
-
-    @staticmethod
-    def force_zero_double(monkeypatch, seed, index):
-        """Make double ``index`` of stream (seed, 0) read as 0.0 in every draw
-        that reaches it: the row draw of a cursor keyed (seed, 0), opened or
-        moved there by ``jump_to``, and the draws of a trial's own cursor,
-        the two it skips included."""
-        real_init = Cursor.__init__
-
-        class ZeroedDouble:
-            def __init__(self, gen):
-                self._gen = gen
-
-            def random(self, size=None, out=None):
-                st = self._gen.bit_generator.state
-                # the stream's doubles drawn before this call
-                drawn = 4 * int(st["state"]["counter"][0]) + st["buffer_pos"] - 4
-                scalar = size is None and out is None
-                u = self._gen.random(1 if scalar else size, out=out)
-                flat = u.reshape(-1)  # a view: ``out`` is C-contiguous
-                if st["state"]["key"].tolist() == [seed, 0] and 0 <= index - drawn < flat.size:
-                    flat[index - drawn] = 0.0
-                return float(u[0]) if scalar else u
-
-        def init(self, stream, counter=0):
-            real_init(self, stream, counter)
-            self._gen = ZeroedDouble(self._gen)
-
-        monkeypatch.setattr(Cursor, "__init__", init)
 
     def test_zero_word_redraws_like_scalar_cursor(self, monkeypatch):
         # a zero at double 2t: the pair is doubles 2t+1 and 2t+2, and trial
         # t+1 still reads 2t+2 and 2t+3
         seed, target = 31, 17
         clean = one_seed(seed, 64)
-        self.force_zero_double(monkeypatch, seed, 2 * target)
+        force_zero_double(monkeypatch, seed, 2 * target)
         u0, u1 = one_seed(seed, 64)
-        scalar = trial_cursor(RandomStream(seed, 0), target)
+        scalar = Cursor(RandomStream(seed, 0), 2 * target)
         assert (u0[target], u1[target]) == (scalar.uniform_open(), scalar.uniform_open())
         doubles = numpy_stream(seed, 0).random(130)
         assert (u0[target], u1[target]) == (doubles[2 * target + 1], doubles[2 * target + 2])
@@ -429,9 +450,9 @@ class TestPhiloxKernel:
         # a zero at double 2t+1, for an even t: the pair is doubles 2t and 2t+2
         seed, target = 31, 20
         clean = one_seed(seed, 64)
-        self.force_zero_double(monkeypatch, seed, 2 * target + 1)
+        force_zero_double(monkeypatch, seed, 2 * target + 1)
         u0, u1 = one_seed(seed, 64)
-        scalar = trial_cursor(RandomStream(seed, 0), target)
+        scalar = Cursor(RandomStream(seed, 0), 2 * target)
         assert (u0[target], u1[target]) == (scalar.uniform_open(), scalar.uniform_open())
         doubles = numpy_stream(seed, 0).random(130)
         assert (u0[target], u1[target]) == (doubles[2 * target], doubles[2 * target + 2])
@@ -444,7 +465,7 @@ class TestPhiloxKernel:
         # the last pair takes double 2 * trials, which the row draw never made
         seed, target = 31, trials - 1
         clean = one_seed(seed, trials)
-        self.force_zero_double(monkeypatch, seed, index)
+        force_zero_double(monkeypatch, seed, index)
         u0, u1 = one_seed(seed, trials)
         doubles = numpy_stream(seed, 0).random(2 * trials + 1)
         first = doubles[2 * target + 1] if index == 2 * target else doubles[2 * target]
@@ -455,7 +476,7 @@ class TestPhiloxKernel:
         # of a sweep's cells, only the hit one moves, and it redraws from its own seed
         seeds, hit_seed, target = (31, 32, 33), 32, 17
         clean = [one_seed(s, 64) for s in seeds]
-        self.force_zero_double(monkeypatch, hit_seed, 2 * target)
+        force_zero_double(monkeypatch, hit_seed, 2 * target)
         pairs = {s: one_seed(s, 64) for s in seeds}
         for seed, (u0, u1) in zip(seeds, clean):
             if seed != hit_seed:
@@ -469,7 +490,7 @@ class TestPhiloxKernel:
     def test_zero_word_in_one_row_of_a_batch_call_moves_only_that_row(self, monkeypatch):
         seeds, hit_seed, target = [31, 32, 33], 32, 17
         clean = trial_uniform_pairs(seeds, 64)
-        self.force_zero_double(monkeypatch, hit_seed, 2 * target)
+        force_zero_double(monkeypatch, hit_seed, 2 * target)
         u = trial_uniform_pairs(seeds, 64)
         moved = np.zeros((3, 64), dtype=bool)
         moved[1, target] = True
@@ -507,7 +528,7 @@ class TestPhiloxKernel:
     def test_trial_pairs_equal_per_seed_calls(self, trials):
         for seed in (3, 2**64 - 1, 0, 2**40, 9):
             u_a, u_b = one_seed(seed, trials)
-            cursors = [trial_cursor(RandomStream(seed, 0), t) for t in range(trials)]
+            cursors = [Cursor(RandomStream(seed, 0), 2 * t) for t in range(trials)]
             expected = [(c.uniform_open(), c.uniform_open()) for c in cursors]
             assert list(zip(u_a.tolist(), u_b.tolist())) == expected
 

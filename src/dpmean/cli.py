@@ -397,11 +397,15 @@ def cmd_figures(args: argparse.Namespace) -> int:
     out = Path(args.output) if args.output else Path(f"{name or 'sweep'}.csv")
     reports = sweep(config)
     csv_text = reports_to_csv(reports, extra_columns=_figure_extras(name, reports))
-    try:
+    meta = path = out.with_suffix(out.suffix + ".meta.json")
+    try:  # the sidecar first, so a refused run has not touched the CSV
+        write_metadata(meta, config, preset=name)
+        path = out
         out.write_text(csv_text)
-        write_metadata(out.with_suffix(out.suffix + ".meta.json"), config, preset=name)
     except OSError as exc:
-        raise ValidationError(f"cannot write output {out}: {exc}") from exc
+        if path == out:
+            meta.unlink()  # nor a sidecar without its CSV
+        raise ValidationError(f"cannot write output {path}: {exc}") from exc
     print(f"wrote {out} ({len(reports)} rows, seed={config.seed})")
     return 0
 

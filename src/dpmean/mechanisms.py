@@ -28,9 +28,9 @@ mean squared error of the shifted mechanism at matched budget.
 ``mechanism_plan`` fixes a row to bounds and a budget once per release or
 Monte-Carlo cell; the ``MechanismPlan``'s ``estimate`` is the one estimator:
 v = T(s, n) + z, (s^, n^) = T^-1 v, estimate w * clip(s^/n^, 0, 1) + l,
-elementwise on scalar noise or on arrays of noise (one entry per trial).
-Noise is always injected explicitly, so behaviour is exactly testable;
-run_mechanism is the only sampling wrapper.
+elementwise on scalars or arrays (one entry per trial); v is fresh, and the
+ratio, clip, w* and +l run in place on one more array.  Noise is injected
+explicitly, so behaviour is exactly testable; run_mechanism alone samples it.
 """
 
 from __future__ import annotations
@@ -302,22 +302,28 @@ class MeanEstimate:
 
 
 def _clip(x, lo: float, hi: float):
-    """``clip``, elementwise on arrays (a scalar gives a float).  The
-    estimator calls this directly; ``clip`` is the scalar entry point, which
-    callers may wrap with scalar-only code (perfbench counts clips so)."""
+    """``clip`` in place on a float64 array x (a scalar gives a float).  Ties
+    at a zero bound do not rest on np.clip's choice of zero: min(x, hi) keeps
+    x, so a zero hi is applied first, and max(lo, .) gives a zero lo's sign."""
     if lo > hi:
         raise ValueError(f"clip range is empty: [{lo}, {hi}]")
-    x = np.asarray(x, dtype=np.float64)
-    out = np.where(hi < x, hi, x)  # min(x, hi): x unless hi < x
-    np.putmask(out, out <= lo, lo)  # max(lo, .): lo unless . > lo; NaN stays
-    np.putmask(out, np.isnan(out), (lo + hi) / 2.0)
+    out = np.asarray(x, dtype=np.float64)
+    if hi == 0.0:
+        np.putmask(out, hi < out, hi)  # min(x, hi): x unless hi < x
+    np.clip(out, lo, None if hi == 0.0 else hi, out=out)
+    if lo == 0.0 and math.copysign(1.0, lo) > 0.0:
+        out += 0.0  # -0.0 + 0.0 is +0.0, and every other value stays
+    elif lo == 0.0:
+        np.copysign(out, lo, out=out, where=out == 0.0)
+    if math.isnan(out.max(initial=-math.inf)):  # just when some value is NaN
+        np.putmask(out, np.isnan(out), (lo + hi) / 2.0)
     return out if out.ndim else float(out)
 
 
 def clip(x: float, lo: float, hi: float) -> float:
-    """max(lo, min(x, hi)) with Python's tie rules (a signed zero equal to
-    lo maps to lo); NaN maps to the interval midpoint."""
-    return _clip(x, lo, hi)
+    """max(lo, min(x, hi)) with Python's tie rules on a copy of x; NaN maps to
+    the interval midpoint.  The scalar entry point, which perfbench wraps."""
+    return _clip(np.array(x, dtype=np.float64), lo, hi)
 
 
 def true_mean(d: BoundedDataset) -> float:
@@ -330,10 +336,11 @@ def true_mean(d: BoundedDataset) -> float:
 def _ratio(num, den):
     # Zero denominators of either sign resolve to sign(num)*inf so the
     # estimate clips to a range endpoint; 0/0 resolves to NaN, which clips to
-    # the midpoint.  Adding +0.0 turns -0.0 into +0.0 and leaves every other
-    # denominator unchanged.
+    # the midpoint.  Adding +0.0, into a fresh array, turns -0.0 into +0.0 and
+    # leaves every other denominator unchanged.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(num, den + 0.0)
+        out = np.asarray(den + 0.0)
+        return np.divide(num, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -370,9 +377,13 @@ class MechanismPlan:
         first, second = self.t.apply((s, n))
         with np.errstate(invalid="ignore", over="ignore"):
             first, second = first + za, second + zb
-            s_hat, n_hat = self.t_inv.apply((first, second))
+            ratio = _clip(_ratio(*self.t_inv.apply((first, second))), 0.0, 1.0)
             w = self.upper - self.lower
-            return first, second, w * _clip(_ratio(s_hat, n_hat), 0.0, 1.0) + self.lower
+            if w != 1.0:  # x * 1.0 is x
+                ratio *= w
+            if self.lower != 0.0:  # x + -0.0 is x, and the clipped ratio holds no -0.0
+                ratio += self.lower
+            return first, second, ratio
 
     def noise(self, cursor: Cursor) -> NoisePair:
         """The plan's noise pair, drawn from ``cursor``: za first, then zb."""

@@ -953,6 +953,28 @@ class TestFigures:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "blocked, existing",
+        [("x.csv.meta.json", None), ("x.csv.meta.json", b"old,bytes\n"), ("x.csv", None)],
+        ids=["sidecar", "sidecar-old-csv", "csv"],
+    )
+    def test_a_refused_write_leaves_both_files_as_they_were(self, tmp_path, capsys, blocked, existing):
+        # a directory in the way of either file refuses the run and names that file
+        out_path = tmp_path / "x.csv"
+        (tmp_path / blocked).mkdir()
+        if existing is not None:
+            out_path.write_bytes(existing)
+        code, out, err = run(
+            ["figures", "--preset", "fig2b", "--trials", "2", "--seed", "1", "--output", str(out_path)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert f"cannot write output {tmp_path / blocked}:" in err
+        assert {p.name for p in tmp_path.iterdir()} == ({blocked, "x.csv"} if existing else {blocked})
+        if existing is not None:
+            assert out_path.read_bytes() == existing
+
 
 class TestGeometry:
     def test_polygon_export(self, tmp_path, capsys):

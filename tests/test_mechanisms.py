@@ -289,6 +289,10 @@ class TestClip:
     @example([-0.0], 0.0, 1.0)  # x = -0.0 at lo = +0.0
     @example([0.0], -1.0, -0.0)  # x = +0.0 at hi = -0.0
     @example([-0.0], -1.0, 0.0)  # x = -0.0 at hi = +0.0
+    @example([0.0, -0.0, 2.0, -2.0, math.nan], 0.0, -0.0)  # both ends +0.0 (min and max keep a)
+    @example([0.0, -0.0, 2.0, -2.0, math.nan], -0.0, 0.0)  # both ends -0.0
+    @example([math.nan, 0.25, math.nan], 0.0, 1.0)  # NaN to the midpoint
+    @example([math.inf, -math.inf, 1.0], -math.inf, math.inf)  # inf - inf is NaN, yet no value is
     def test_array_matches_scalar_bitwise(self, xs, a, b):
         lo, hi = min(a, b), max(a, b)
         expected = [max(lo, min(x, hi)) if not math.isnan(x) else (lo + hi) / 2.0 for x in xs]
@@ -318,22 +322,30 @@ class TestRatio:
 class TestNoisyEstimate:
     @settings(max_examples=50)
     @given(st.lists(st.tuples(any_noise, any_noise), min_size=1, max_size=20))
+    @example([(0.0, -0.0), (-0.0, 0.0), (math.inf, -math.inf), (math.nan, 1.0), (-3.0, 3.0)])
     def test_array_equals_scalar_calls(self, pairs):
-        # one array evaluation is the scalar estimator applied trial by trial
-        d = BoundedDataset((2.5, 3.5, 2.0), 2.0, 4.0)
+        # one array evaluation is the scalar estimator applied trial by trial,
+        # bit for bit (the sign of a zero and of a NaN included), and it
+        # writes into none of its inputs
         za = np.array([p[0] for p in pairs])
         zb = np.array([p[1] for p in pairs])
-        for mech in Mechanism:
-            plan = mechanism_plan(mech, d.lower, d.upper, EPS)
-            first, second, value = plan.estimate(d.scaled_total, float(len(d)), za, zb)
-            for i, (a, b) in enumerate(pairs):
-                est = ESTIMATORS[mech](d, EPS, NoisePair(a, b))
-                assert value[i] == est.value
-                assert np.array_equal(
-                    [first[i], second[i]],
-                    [est.noisy_aggregates.first, est.noisy_aggregates.second],
-                    equal_nan=True,
-                )
+        za_bits, zb_bits = za.view(np.uint64).copy(), zb.view(np.uint64).copy()
+        for values, lower, upper in (
+            ((2.5, 3.5, 2.0), 2.0, 4.0),
+            ((0.0, 1.0, 0.25), 0.0, 1.0),
+            ((0.0, 1.0, 0.25), -0.0, 1.0),
+            ((-1.0, -0.0, -0.25), -1.0, -0.0),
+        ):
+            d = BoundedDataset(values, lower, upper)
+            for mech in Mechanism:
+                plan = mechanism_plan(mech, d.lower, d.upper, EPS)
+                got = plan.estimate(d.scaled_total, float(len(d)), za, zb)
+                assert np.array_equal(za.view(np.uint64), za_bits)
+                assert np.array_equal(zb.view(np.uint64), zb_bits)
+                for i, (a, b) in enumerate(pairs):
+                    est = ESTIMATORS[mech](d, EPS, NoisePair(a, b))
+                    scalar = np.array([est.noisy_aggregates.first, est.noisy_aggregates.second, est.value])
+                    assert np.array_equal(np.array([g[i] for g in got]).view(np.uint64), scalar.view(np.uint64))
 
 
 class TestClosedFormOracles:

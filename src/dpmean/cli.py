@@ -40,8 +40,9 @@ from .harness import (
     sweep,
     write_metadata,
 )
+from .mechanisms import Mechanism, PrivacyBudget, extremes, mechanism_plan, scaled_partials
 # BoundedDataset and run_mechanism are not called here: perfbench/tracing.py patches them on this module.
-from .mechanisms import BoundedDataset, Mechanism, PrivacyBudget, mechanism_plan, run_mechanism, scaled_partials  # noqa: F401
+from .mechanisms import BoundedDataset, run_mechanism  # noqa: F401
 from .noise import Cursor, RandomStream
 
 POLYGON_CSV_HEADER = "polygon_id,vertex_index,x,y"
@@ -167,7 +168,9 @@ def _fixed(data, end: int) -> np.ndarray | None:
         return None
     # Each M is an integer below 10^14 < 2^53, exact in any summation order,
     # so one matrix-vector product gives every M of the block.
-    return (digits.reshape(n, width) @ weights) / power
+    values = digits.reshape(n, width) @ weights
+    values /= power
+    return values
 
 
 def _parse(data, end: int, encoding: str) -> np.ndarray:
@@ -189,15 +192,15 @@ def _parse(data, end: int, encoding: str) -> np.ndarray:
     The array pass pays only where nearly every line is exact, so a block
     takes it only if at least 7 lines in 8 are exact; any other block is
     decoded and goes through ``float`` whole."""
-    # The complete lines of the head screen a block for that at little cost:
-    # exact lines are at most 15 characters and hold only digits and a dot.
+    # _fixed refuses another layout at its first line or length.  The head
+    # screens the rest for the general pass: exact lines are at most 15 digits and dots.
+    values = _fixed(data, end)
+    if values is not None:
+        return values
     head = data[:min(end, _PROBE)]
     head = head[:head.rfind(b"\n") + 1]
     lines = head.count(b"\n")
     if len(head) <= _ROW * lines and 8 * len(head.translate(None, b"0123456789.\n")) <= lines:
-        values = _fixed(data, end)
-        if values is not None:
-            return values
         buf = np.frombuffer(data, np.uint8, end)
         ends = np.flatnonzero(buf == 10)
         lens = np.diff(ends, prepend=-1) - 1
@@ -255,15 +258,15 @@ def _chunks(path: str):
             if start:
                 buf[start:start + 1] = b"\n"
                 yield _block(buf, start + 1, f.encoding)
-    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
-        # Only a rejected file is read again in full, to report the error as
-        # a whole-file read does and to number the offending line.
-        for lineno, line in _numbered(path):
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        # Only a rejected regular file (not a pipe) is read again in full, to
+        # report the error as a whole-file read does and number the offending line.
+        for lineno, line in _numbered(path) if Path(path).is_file() else ():
             try:
                 float(line)
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: not a decimal number: {line!r}") from exc
-        raise
+            except ValueError as bad:
+                raise ValidationError(f"line {lineno}: not a decimal number: {line!r}") from bad
+        raise ValidationError(f"cannot read input file {path}: {exc}") from exc
 
 
 def _fold(chunks, lower: float, upper: float) -> tuple[int, list[float], tuple[int, float] | None]:
@@ -275,13 +278,13 @@ def _fold(chunks, lower: float, upper: float) -> tuple[int, list[float], tuple[i
     n, partials, outside = 0, [], None
     for values in chunks:
         if outside is None:
-            inside = (values >= lower) & (values <= upper)
-            if inside.all():
-                partials += scaled_partials(values, lower, upper - lower)
+            least, most, first = extremes(values, lower, upper)
+            if first is None:
+                partials += scaled_partials(values, lower, upper - lower, least, most)
                 if len(partials) > _PARTIALS:  # the same exact sum, in a few partials
-                    partials = scaled_partials(np.array(partials), 0.0, 1.0)
+                    merged = np.array(partials)
+                    partials = scaled_partials(merged, 0.0, 1.0, merged.min(), merged.max())
             else:
-                first = int(inside.argmin())
                 outside = (n + first, float(values[first]))
         n += len(values)
     return n, partials, outside

@@ -110,10 +110,10 @@ class BoundedDataset:
         # cached aggregates stay true to the values.
         values = values.view()
         object.__setattr__(self, "values", values)
-        inside = (values >= self.lower) & (values <= self.upper)
-        if not inside.all():
-            v = float(values[inside.argmin()])
-            raise ValueError(f"value {v} outside declared bounds [{self.lower}, {self.upper}]")
+        least, most, first = extremes(values, self.lower, self.upper)
+        if first is not None:
+            raise ValueError(f"value {float(values[first])} outside declared bounds [{self.lower}, {self.upper}]")
+        object.__setattr__(self, "_extremes", (least, most))  # for scaled_total, with no second pass
 
     def __len__(self) -> int:
         return len(self.values)
@@ -146,13 +146,24 @@ class BoundedDataset:
     def scaled_total(self) -> float:
         """fsum(((values - lower) / width).tolist()), bit for bit; see
         ``scaled_partials``."""
-        return math.fsum(scaled_partials(self.values, self.lower, self.width))
+        return math.fsum(scaled_partials(self.values, self.lower, self.width, *self._extremes))
 
 
-def scaled_partials(values: np.ndarray, lower: float, width: float) -> list[float]:
+def extremes(values: np.ndarray, lower: float, upper: float) -> tuple[float, float, int | None]:
+    """Least, most and first index outside [lower, upper] (or None) of values,
+    lower twice for none, so that they give no partials; NaN fails."""
+    if not len(values):
+        return lower, lower, None
+    least, most = values.min(), values.max()
+    if lower <= least and most <= upper:
+        return least, most, None
+    return least, most, int(((values >= lower) & (values <= upper)).argmin())
+
+
+def scaled_partials(values: np.ndarray, lower: float, width: float, least: float, most: float) -> list[float]:
     """Exact partial sums of the terms (values - lower) / width, whose fsum
     is fsum of the terms, bit for bit, however the values are split between
-    calls.
+    calls; ``least`` and ``most`` are the extremes of the values.
 
     Each block of at most 2^16 terms is summed by error-free extraction
     (``ExtractVector``; Rump, Ogita & Oishi, "Accurate Floating-Point
@@ -167,20 +178,21 @@ def scaled_partials(values: np.ndarray, lower: float, width: float) -> list[floa
     sigma below 2^-1021 the addition itself is exact and leaves none.  fsum
     of exact partials is the correctly rounded total, which is what fsum of
     the terms returns.  Zero partials add nothing and are dropped, so
-    all-zero terms, -0.0 among them, give none.  The terms must be finite
-    and below 2^1007 in magnitude, so that sigma is: true of terms in
-    [0, 1], and of partials this returned, read at lower 0 and width 1,
-    which merges them into a few.
+    all-zero terms, -0.0 among them, give none.  e is that of the terms of
+    ``least`` and ``most``: rounded subtraction and division by width > 0 are
+    monotone.  A block of smaller terms takes more levels.  The terms must be
+    finite and below 2^1007 in magnitude, so that sigma is: true of terms in
+    [0, 1], and of partials this returned, which lower 0 and width 1 merge.
     """
-    partials = []
+    top = max(most - lower, lower - least) / width  # fl(-a) is -fl(a)
+    if not top:
+        return []
+    e, partials = math.frexp(top)[1], []
     for start in range(0, len(values), _SUM_BLOCK):
         x = values[start : start + _SUM_BLOCK] - lower
         if width != 1.0:  # x / 1.0 is x
             x /= width
-        top = max(x.max(), -x.min())
-        if not top:
-            continue
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + 16)
+        sigma = math.ldexp(1.0, e + 16)
         head = np.empty_like(x)
         while True:
             np.add(x, sigma, out=head)

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import re
 import runpy
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -560,8 +562,11 @@ class TestRejectedAcrossChunks:
             ("0.5\r\n\x0b\r\n0.2\r1.5\n0.3", "line 4: value 1.5 is outside the declared bounds [0.0, 1.0]"),
             ("0.5\n0.25\n\u3000-1e-300", "line 3: value -1e-300 is outside the declared bounds [0.0, 1.0]"),
             ("0.5\n0.25\n0.75\r\n0x1", "line 4: not a decimal number: '0x1'"),
+            ("0.5\r\n0.25\n\nnan\n0.1\n", "line 4: value nan is outside the declared bounds [0.0, 1.0]"),
+            ("0.5\n 0.25\ninf\n0.1\n", "line 3: value inf is outside the declared bounds [0.0, 1.0]"),
+            ("0.5\n0.25\n\n-inf", "line 4: value -inf is outside the declared bounds [0.0, 1.0]"),
         ],
-        ids=["unparseable", "out-of-bounds", "out-of-bounds-last-line", "unparseable-last-line"],
+        ids=["unparseable", "out-of-bounds", "out-of-bounds-last-line", "unparseable-last-line", "nan", "inf", "-inf"],
     )
     def test_line_number(self, tmp_path, monkeypatch, capsys, chunk, text, expected):
         monkeypatch.setattr(cli, "_CHUNK", chunk)
@@ -578,8 +583,11 @@ class TestRejectedAcrossChunks:
             ("0.12345z789", "line 12: not a decimal number: '0.12345z789'"),
             ("zz", "line 12: not a decimal number: 'zz'"),
             ("1.500000000", "line 12: value 1.5 is outside the declared bounds [0.0, 1.0]"),
+            ("nan", "line 12: value nan is outside the declared bounds [0.0, 1.0]"),
+            ("inf", "line 12: value inf is outside the declared bounds [0.0, 1.0]"),
+            ("-inf", "line 12: value -inf is outside the declared bounds [0.0, 1.0]"),
         ],
-        ids=["unparseable", "unparseable-other-width", "out-of-bounds"],
+        ids=["unparseable", "unparseable-other-width", "out-of-bounds", "nan", "inf", "-inf"],
     )
     def test_bad_line_in_a_fixed_width_chunk(self, tmp_path, monkeypatch, capsys, chunk, bad, expected):
         monkeypatch.setattr(cli, "_CHUNK", chunk)
@@ -606,6 +614,27 @@ class TestRejectedAcrossChunks:
         code, out, err = run(self.ARGV + ["--input", str(path)], capsys)
         assert code == 2 and out == ""
         assert err == expected
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (b"0.5\nzz\n", "could not convert string to float: 'zz'"),
+            (b"0.5\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+            (b"zz\n" + b"0.5\n" * 50_000 + b"yy\n", "could not convert string to float: 'zz'"),
+        ],
+        ids=["unparseable", "undecodable", "unparseable-before-more-reads"],
+    )
+    def test_bad_line_on_a_pipe(self, data, expected):
+        # A pipe cannot be read again to number the line, so the error is
+        # named as the read met it; it is still a validation error.  Read
+        # again, it would give only the lines after the failed read.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONUTF8": "1", "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "dpmean.cli", *self.ARGV, "--input", "/dev/stdin"]
+        done = subprocess.run(argv, input=data, capture_output=True, env=env)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.decode() == f"error: cannot read input file /dev/stdin: {expected}\n"
 
 
 def write_fixed_width(path, n, seed, ending=b"\n"):

@@ -219,8 +219,14 @@ class TestScaledTotal:
 
     @pytest.mark.parametrize("term", [1.0, np.nextafter(1.0, 0.0)], ids=["one", "below-one"])
     def test_a_full_block_of_one_term(self, term):
-        # the sum of one extraction level at its limit: 2^16 heads of 2^e
-        self.assert_equals_fsum(np.full(_SUM_BLOCK, term), 0.0, 1.0)
+        # the sum of one extraction level at its limit: 2^16 heads of 2^e;
+        # beside it a block of zero or subnormal terms, which takes the sigma
+        # of the extremes in the other block
+        block = np.full(_SUM_BLOCK, term)
+        self.assert_equals_fsum(block, 0.0, 1.0)
+        for other in (np.zeros(_SUM_BLOCK), np.full(_SUM_BLOCK, 2.0**-1074)):
+            self.assert_equals_fsum(np.concatenate([other, block]), 0.0, 1.0)
+            self.assert_equals_fsum(np.concatenate([block, other[:7]]), 0.0, 1.0)
 
     def test_terms_from_the_least_subnormal_to_one(self):
         # every exponent once, so the remainders reach every level
@@ -237,15 +243,18 @@ class TestScaledTotal:
         assert BoundedDataset(values, 0.0, 1.0).scaled_total == 1.0 + 2.0**-52
         self.assert_equals_fsum(values, 0.0, 1.0)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_partials_above_two_to_the_37_merge_exactly(self, seed):
+    @pytest.mark.parametrize(
+        "seed, signs",
+        [*(pytest.param(seed, [-1.0, 1.0], id=str(seed)) for seed in range(3)), pytest.param(3, [-1.0], id="negative")],
+    )
+    def test_partials_above_two_to_the_37_merge_exactly(self, seed, signs):
         # read at lower 0 and width 1 the partials are the terms themselves,
-        # of either sign and far above the terms' own range
+        # of either sign, or all negative, and far above the terms' own range
         rng = np.random.default_rng(seed)
         exponents = rng.integers(-80, 61, 500)
-        partials = np.ldexp(rng.uniform(0.5, 1.0, 500), exponents) * rng.choice([-1.0, 1.0], 500)
-        partials[:3] = 2.0**60, 2.0**37 + 1.0, 3.0 * 2.0**38
-        merged = scaled_partials(partials, 0.0, 1.0)
+        partials = np.ldexp(rng.uniform(0.5, 1.0, 500), exponents) * rng.choice(signs, 500)
+        partials[:3] = np.array([2.0**60, 2.0**37 + 1.0, 3.0 * 2.0**38]) * max(signs)
+        merged = scaled_partials(partials, 0.0, 1.0, partials.min(), partials.max())
         assert math.fsum(merged).hex() == math.fsum(partials.tolist()).hex()
         assert len(merged) < 10
 

@@ -69,21 +69,6 @@ def _entropy_seed() -> int:
     return secrets.randbits(64)
 
 
-def _numbered(path: str):
-    """(line number, stripped text) of every non-blank line of the file."""
-    # read_text maps \r\n and \r to \n, so line numbers count \n-ended
-    # lines whatever the file's line endings; splitlines would also break
-    # at form feeds and other separators an editor shows within a line.
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read input file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line:
-            yield lineno, line
-
-
 _ROW = 16  # bytes a line is right-aligned in by the exact pass
 _POWERS = np.array([10**j for j in range(_ROW)], dtype=np.int64)
 _WEIGHTS = np.array([float(10**j) for j in reversed(range(_ROW))])  # column c weighs 10^(15 - c)
@@ -173,30 +158,29 @@ def _fixed(data, end: int) -> np.ndarray | None:
     return values
 
 
-def _parse(data, end: int, encoding: str) -> np.ndarray:
+def _parse(data, end: int, encoding: str) -> tuple[np.ndarray, int]:
     """``float`` of each stripped non-blank line of ``data[:end]``, lines in
-    ``encoding`` that each end in a newline, in order, as float64.
+    ``encoding`` that each end in a newline, in order, as float64, and the
+    number of those lines, blank ones included.
 
     A line of 1-14 ASCII digits with at most one ``.`` and nothing else, no
-    sign, exponent, ``_`` or padding, takes an exact path in array passes.
-    It is an integer M < 10^14 over 10^k, k <= 14, both exact doubles, so the
+    sign, exponent, ``_`` or padding, takes an exact path in array passes:
+    it is an integer M < 10^14 over 10^k, k <= 14, both exact doubles, so the
     one correctly rounded division M / 10^k is ``float``'s own result, bit
-    for bit (Clinger's fast path).  A block whose lines share one length
-    and one dot column (or have none) is converted as a reshape of its bytes,
-    with one power 10^k; the syntax accepted and the bits are the same.
-    Every other line is decoded on its own and goes through ``float`` in
-    file order, so the syntax accepted, the line numbers and the messages
-    are those of ``float`` on each line.  In an ASCII-compatible encoding a
-    non-ASCII character opens with a byte above 0x7F, which no exact line
-    holds, so every such byte is decoded and an undecodable one refused.
+    for bit (Clinger's fast path).  A block whose lines share one length and
+    one dot column (or have none) is converted as a reshape of its bytes,
+    with the same syntax and bits.  Every other line is decoded on its own
+    and goes through ``float`` in file order.  No exact line holds a byte
+    above 0x7F, which opens every non-ASCII character of an ASCII-compatible
+    encoding, so every such byte is decoded and an undecodable one refused.
     The array pass pays only where nearly every line is exact, so a block
-    takes it only if at least 7 lines in 8 are exact; any other block is
-    decoded and goes through ``float`` whole."""
+    takes it only if at least 7 lines in 8 are exact; any other is decoded
+    and goes through ``float`` whole."""
     # _fixed refuses another layout at its first line or length.  The head
     # screens the rest for the general pass: exact lines are at most 15 digits and dots.
     values = _fixed(data, end)
     if values is not None:
-        return values
+        return values, len(values)
     head = data[:min(end, _PROBE)]
     head = head[:head.rfind(b"\n") + 1]
     lines = head.count(b"\n")
@@ -210,12 +194,13 @@ def _parse(data, end: int, encoding: str) -> np.ndarray:
             texts = [str(data[e - n:e], encoding).strip() for e, n in zip(ends[slow].tolist(), lens[slow].tolist())]
             filled = np.fromiter(map(bool, texts), dtype=bool, count=len(texts))
             values[slow[filled]] = _floats(texts)
-            return np.delete(values, slow[~filled])
-    return _floats(str(data[:end], encoding).split("\n"))
+            return np.delete(values, slow[~filled]), len(ends)
+    split = str(data[:end], encoding).split("\n")
+    return _floats(split), len(split) - 1
 
 
-def _block(buf, cut: int, encoding: str) -> np.ndarray:
-    """The values of ``buf[:cut]``, whole lines in ``encoding``."""
+def _block(buf, cut: int, encoding: str) -> tuple[np.ndarray, int]:
+    """The values of ``buf[:cut]``, whole lines in ``encoding``, and its count of lines."""
     if buf.find(b"\r", 0, cut) < 0:
         return _parse(buf, cut, encoding)
     text = io.IncrementalNewlineDecoder(None, translate=True).decode(str(buf[:cut], encoding), final=True)
@@ -223,60 +208,82 @@ def _block(buf, cut: int, encoding: str) -> np.ndarray:
     return _parse(data, len(data), "utf-8")
 
 
+def _refusal(numbered) -> str | None:
+    """The refusal of the first of the numbered lines that ``float`` refuses."""
+    for lineno, line in numbered:
+        try:
+            float(line)
+        except ValueError:
+            return f"line {lineno}: not a decimal number: {line!r}"
+
+
 def _chunks(path: str):
     """The values of a file, ``float`` of each stripped non-blank line, as
-    float64, one array per block of whole lines, in file order.  A file
-    with no such line gives no values: the empty dataset releases like any
-    other.
+    float64, one array per block of whole lines, in file order, each with a
+    call that numbers the block's non-blank lines until the generator resumes.
 
-    The unfinished line of each read opens the next, and each read of at
-    most ``_CHUNK`` bytes is cut after its last ``\n``, or after its last
-    ``\r`` if it holds no ``\n``; the file's last line needs no line end.
-    A block of whole lines with no ``\r`` is parsed where it lies in the
-    read buffer, in the file's encoding.  A block with a ``\r`` is decoded
-    on its own as text mode decodes it, ``\r\n`` and ``\r`` as ``\n``,
-    and parsed as UTF-8, which encodes any text exactly.  Decoding block by
-    block, or line by line, is exact because the locale's encoding is
-    ASCII-compatible and no multibyte character of it holds a ``\n`` or
-    ``\r`` byte, so a cut never splits a character; a ``\r\n`` pair split
-    by a ``\r`` cut adds only a blank line, which holds no value."""
+    A read of at most ``_CHUNK`` bytes after the unfinished line is cut after
+    its last ``\n``, or else its last ``\r`` but a final one, which may open
+    a ``\r\n``.  A block with a ``\r`` is decoded as text mode decodes it and
+    parsed as UTF-8; any other is parsed where it lies.  The locale's encoding
+    is ASCII-compatible and no multibyte character in it holds a ``\n`` or
+    ``\r`` byte, so a cut splits no character.  The input is read once, and
+    refused as a whole-file decode refuses it: an undecodable byte first, at
+    its place in the input, then the first line ``float`` refuses."""
     try:
         with open(path) as f:  # text mode, for the locale's encoding
-            buf, start = bytearray(_CHUNK), 0  # buf[:start] is the unfinished line
-            while True:
+            # buf[:start] is the unfinished line, offset the bytes before it
+            buf, start, offset, lines, bad, read = bytearray(_CHUNK), 0, 0, 0, None, True
+
+            def numbered():  # (line number, stripped text) of each non-blank line of buf[:own]
+                # As text mode reads it, \r\n and \r as \n; splitlines would also break at form feeds.
+                text = io.IncrementalNewlineDecoder(None, translate=True).decode(str(buf[:own], f.encoding), final=True)
+                for lineno, raw in enumerate(text.split("\n"), start=lines + 1):
+                    line = raw.strip()
+                    if line:
+                        yield lineno, line
+            while read:
                 if start == len(buf):  # a line longer than the buffer
                     buf += bytes(_CHUNK)
                 read = f.buffer.readinto(memoryview(buf)[start:start + _CHUNK])
-                if not read:
-                    break
                 end = start + read
-                cut = buf.rfind(b"\n", 0, end) + 1 or buf.rfind(b"\r", 0, end) + 1
+                if not read and start:  # the last line needs no line end
+                    buf[end:end + 1] = b"\n"
+                    end += 1
+                cut = buf.rfind(b"\n", 0, end) + 1 or buf.rfind(b"\r", 0, max(end - 1, 0)) + 1
                 if cut:
-                    yield _block(buf, cut, f.encoding)
+                    own = cut - (not read)  # not an added line end
+                    try:
+                        if bad is None:
+                            values, count = _block(buf, cut, f.encoding)
+                            yield values, numbered
+                            lines += count
+                        else:  # after a refused line the rest is only decoded
+                            str(buf[:own], f.encoding)
+                    except ValueError as exc:  # a refused line, or a bad byte, which numbering raises again
+                        refusal = _refusal(numbered())
+                        bad = ValidationError(refusal or f"cannot read input file {path}: {exc}")
+                    offset += cut
                     buf[:end - cut] = buf[cut:end]
                 start = end - cut
-            if start:
-                buf[start:start + 1] = b"\n"
-                yield _block(buf, start + 1, f.encoding)
-    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
-        # Only a rejected regular file (not a pipe) is read again in full, to
-        # report the error as a whole-file read does and number the offending line.
-        for lineno, line in _numbered(path) if Path(path).is_file() else ():
-            try:
-                float(line)
-            except ValueError as bad:
-                raise ValidationError(f"line {lineno}: not a decimal number: {line!r}") from bad
+            if bad is not None:
+                raise bad
+    except UnicodeDecodeError as exc:  # placed in the input; str(exc) words that past its object as a range
+        at, to, byte = offset + exc.start, offset + exc.end - 1, exc.object[exc.start]
+        where = f"byte 0x{byte:02x} in position {at}" if at == to else f"bytes in position {at}-{to}"
+        message = f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
+        raise ValidationError(f"cannot read input file {path}: {message}") from exc
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read input file {path}: {exc}") from exc
 
 
-def _fold(chunks, lower: float, upper: float) -> tuple[int, list[float], tuple[int, float] | None]:
-    """Fold arrays of values, in order, into (n, partials, outside): their
-    count; exact partials whose fsum is ``BoundedDataset.scaled_total`` of
-    all the values, bit for bit; and the index and value of the first value
-    outside [lower, upper], or None.  Partials are kept only while every
-    value so far lies inside."""
+def _fold(chunks, lower: float, upper: float) -> tuple[int, list[float]]:
+    """Fold (values, numbered) blocks, in order, into (n, partials): their
+    count, and exact partials whose fsum is ``BoundedDataset.scaled_total``
+    of all the values, bit for bit, kept while all lie in [lower, upper].
+    The first value outside is refused once every block is read."""
     n, partials, outside = 0, [], None
-    for values in chunks:
+    for values, numbered in chunks:
         if outside is None:
             least, most, first = extremes(values, lower, upper)
             if first is None:
@@ -285,9 +292,13 @@ def _fold(chunks, lower: float, upper: float) -> tuple[int, list[float], tuple[i
                     merged = np.array(partials)
                     partials = scaled_partials(merged, 0.0, 1.0, merged.min(), merged.max())
             else:
-                outside = (n + first, float(values[first]))
+                lineno, _ = next(itertools.islice(numbered(), first, None))
+                value = float(values[first])
+                outside = f"line {lineno}: value {value} is outside the declared bounds [{lower}, {upper}]"
         n += len(values)
-    return n, partials, outside
+    if outside is not None:
+        raise ValidationError(outside)
+    return n, partials
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -301,14 +312,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     # Each chunk is folded in as it is read: no array of the whole file.
-    n, partials, outside = _fold(_chunks(args.input), args.lower, args.upper)
-    if outside is not None:
-        first, value = outside
-        message = f"value {value} is outside the declared bounds [{args.lower}, {args.upper}]"
-        # Only a rejected file is read again, for the line of that value.
-        for lineno, _ in itertools.islice(_numbered(args.input), first, None):
-            raise ValidationError(f"line {lineno}: {message}")
-        raise ValidationError(message)
+    n, partials = _fold(_chunks(args.input), args.lower, args.upper)
     # Exactly one mechanism invocation: no retries, or the guarantee degrades.
     # An empty file releases the noise alone: (s, n) = (0, 0).
     noise = plan.noise(cursor)

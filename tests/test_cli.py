@@ -295,7 +295,7 @@ def float_outcome(lines):
 def read_values(path):
     """The values of a file as one array: the arrays ``cli._chunks`` gives,
     joined, which a release folds in one at a time instead."""
-    return np.concatenate([np.empty(0), *cli._chunks(str(path))])
+    return np.concatenate([np.empty(0), *(values for values, _ in cli._chunks(str(path)))])
 
 
 def read_outcome(path):
@@ -549,8 +549,9 @@ class TestFixedWidth:
 
 
 class TestRejectedAcrossChunks:
-    """A file rejected at any chunk size gets the message a whole-file read
-    gives it, with the same line number."""
+    """An input rejected at any chunk size, a pipe as a file, gets the
+    message a whole-file read gives it, with the same line number or byte
+    position."""
 
     ARGV = ESTIMATE_HEAD + ["--lower", "0", "--upper", "1", "--epsilon", "0.5"]
 
@@ -575,6 +576,27 @@ class TestRejectedAcrossChunks:
         code, out, err = run(self.ARGV + ["--input", str(path)], capsys)
         assert code == 2 and out == ""
         assert err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("chunk", TINY_CHUNKS)
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        numbered_lines=NUMBERED_LINES,
+        bad=st.tuples(st.sampled_from(["zz", "1.2.3", "0x1", "5.."]), ENDING),
+        at=st.integers(0, 30),
+        last_end=st.booleans(),
+    )
+    def test_line_number_under_any_line_ends(self, tmp_path, monkeypatch, chunk, numbered_lines, bad, at, last_end):
+        # One line float refuses among lines of every ending, in reads that
+        # split lines and \r\n pairs; the last line may have no line end.
+        # The expected lines are text mode's: a \r ending before a blank \n
+        # line reads as one \r\n.
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        numbered_lines.insert(at % (len(numbered_lines) + 1), bad)
+        text = "".join(line + end for line, end in numbered_lines)
+        text = text if last_end else text[:-len(numbered_lines[-1][1])]
+        path = tmp_path / "values.txt"
+        path.write_bytes(text.encode())
+        assert read_outcome(path) == float_outcome(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"))
 
     @pytest.mark.parametrize("chunk", [*TINY_CHUNKS, cli._CHUNK])
     @pytest.mark.parametrize(
@@ -619,22 +641,44 @@ class TestRejectedAcrossChunks:
     @pytest.mark.parametrize(
         "data, expected",
         [
-            (b"0.5\nzz\n", "could not convert string to float: 'zz'"),
+            (b"0.5\nzz\n", "line 2: not a decimal number: 'zz'"),
             (b"0.5\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
-            (b"zz\n" + b"0.5\n" * 50_000 + b"yy\n", "could not convert string to float: 'zz'"),
+            (b"zz\n" + b"0.5\n" * 50_000 + b"yy\n", "line 1: not a decimal number: 'zz'"),
+            (b"0.5\nnan\n", "line 2: value nan is outside the declared bounds [0.0, 1.0]"),
+            (b"0.5\ninf\n0.25\n", "line 2: value inf is outside the declared bounds [0.0, 1.0]"),
+            (b"0.5\r\n0.25\r\n0.7\r1.5\n", "line 4: value 1.5 is outside the declared bounds [0.0, 1.0]"),
+            (b"0.5\n" * 50_000 + b"\xff\n", "'utf-8' codec can't decode byte 0xff in position 200000: invalid start byte"),
+            (b"zz\n" + b"0.5\n" * 3750 + b"\xff\n", "'utf-8' codec can't decode byte 0xff in position 15003: invalid start byte"),
+            (b"0.5\n1.5\n" + b"0.5\n" * 40_000 + b"zz\n", "line 40003: not a decimal number: 'zz'"),
+            (b"0.5\r" * 40_000 + b"zz\r0.5\r", "line 40001: not a decimal number: 'zz'"),
+            (b"0.5\r\n" * 40_000 + b"zz\r\n0.5\r\n", "line 40001: not a decimal number: 'zz'"),
+            (b"0.5\r\n" * 40_000 + b"\xff\r\n", "'utf-8' codec can't decode byte 0xff in position 200000: invalid start byte"),
+            (b"0.5\n\xe3", "'utf-8' codec can't decode byte 0xe3 in position 4: unexpected end of data"),
+            (b"0.5\n\xe3\x81\n", "'utf-8' codec can't decode bytes in position 4-5: invalid continuation byte"),
         ],
-        ids=["unparseable", "undecodable", "unparseable-before-more-reads"],
+        ids=[
+            "unparseable", "undecodable", "unparseable-before-more-reads", "nan", "inf", "out-of-bounds-after-cr",
+            "undecodable-late", "undecodable-after-unparseable", "unparseable-after-out-of-bounds",
+            "cr-past-a-cut", "crlf-past-a-cut", "crlf-undecodable-past-a-cut", "truncated-last", "truncated",
+        ],
     )
-    def test_bad_line_on_a_pipe(self, data, expected):
-        # A pipe cannot be read again to number the line, so the error is
-        # named as the read met it; it is still a validation error.  Read
-        # again, it would give only the lines after the failed read.
+    def test_bad_line_on_a_pipe(self, tmp_path, data, expected):
+        # The same bytes on stdin, once a regular file and once a pipe, are
+        # read once each and refused alike, with a line number or a byte
+        # position counted from the start of the input.
+        if not expected.startswith("line"):
+            expected = f"cannot read input file /dev/stdin: {expected}"
         src = str(Path(cli.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONUTF8": "1", "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         argv = [sys.executable, "-m", "dpmean.cli", *self.ARGV, "--input", "/dev/stdin"]
-        done = subprocess.run(argv, input=data, capture_output=True, env=env)
-        assert (done.returncode, done.stdout) == (2, b"")
-        assert done.stderr.decode() == f"error: cannot read input file /dev/stdin: {expected}\n"
+        path = tmp_path / "values.txt"
+        path.write_bytes(data)
+        with open(path, "rb") as f:
+            as_file = subprocess.run(argv, stdin=f, capture_output=True, env=env, timeout=60)
+        as_pipe = subprocess.run(argv, input=data, capture_output=True, env=env, timeout=60)
+        for done in (as_file, as_pipe):
+            assert (done.returncode, done.stdout) == (2, b"")
+        assert as_pipe.stderr.decode() == as_file.stderr.decode() == f"error: {expected}\n"
 
 
 def write_fixed_width(path, n, seed, ending=b"\n"):
@@ -692,9 +736,9 @@ class TestStreamingRelease:
         # skewed toward lower, so the terms span many exponents
         values = np.clip(lower + rng.random(size) ** skew * (upper - lower), lower, upper)
         values[rng.random(size) < 0.01] = upper
-        chunks = np.split(values, sorted(int(c * size) for c in cuts))
-        n, partials, outside = cli._fold(chunks, lower, upper)
-        assert (n, outside) == (size, None)
+        chunks = [(chunk, None) for chunk in np.split(values, sorted(int(c * size) for c in cuts))]
+        n, partials = cli._fold(chunks, lower, upper)
+        assert n == size
         assert math.fsum(partials).hex() == BoundedDataset(values, lower, upper).scaled_total.hex()
 
     @pytest.mark.parametrize("mechanism", [m.value for m in Mechanism])

@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 
-from dpmean.bounds import geometric_count_variance
+from dpmean.bounds import geometric_count_variance, minmax_leading
 from dpmean.harness import GEOMETRIC_COUNT, preset_family_k, worst_case_over_family
 from dpmean.mechanisms import Mechanism, PrivacyBudget
 from dpmean.noise import GeometricParams, check_uint64
@@ -46,7 +46,7 @@ def main() -> int:
     for eps in budgets:
         eps_value = eps.epsilon
         k = preset_family_k(args.n, eps_value)
-        benchmark = 2.0 / eps_value**2
+        benchmark = minmax_leading(eps_value, 0.0, 1.0)  # 2w^2/eps^2 at w = 1
         geo_mc = worst_case_over_family(GEOMETRIC_COUNT, eps, args.n, k, args.trials, args.seed)
         row = (
             f"{eps_value:>5} {k:>3} {benchmark:>10.3f} "

@@ -41,11 +41,15 @@ from .harness import (
     write_metadata,
 )
 from .mechanisms import Mechanism, PrivacyBudget, extremes, mechanism_plan, scaled_partials
-# BoundedDataset and run_mechanism are not called here: perfbench/tracing.py patches them on this module.
+from .noise import laplace_from_uniform, trial_uniform_pairs
+# Not called here: perfbench/tracing.py patches these names on this module.
 from .mechanisms import BoundedDataset, run_mechanism  # noqa: F401
-from .noise import Cursor, RandomStream
+from .noise import RandomStream  # noqa: F401
 
 POLYGON_CSV_HEADER = "polygon_id,vertex_index,x,y"
+
+# argparse reads "-1e3" after a space as an option name, not as a negative number.
+_NEGATIVE = "; a negative value in exponent form goes after '=', as in --%(dest)s=-1e3"
 
 PRIVACY_NOTE = (
     "note: each run spends its full epsilon; repeated runs on the same data "
@@ -308,15 +312,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         mechanism = Mechanism(args.mechanism)
         # The plan checks the bounds and that its noise scales are valid Laplace scales.
         plan = mechanism_plan(mechanism, args.lower, args.upper, eps)
-        cursor = Cursor(RandomStream(args.seed if args.seed is not None else _entropy_seed(), 0))
+        # The release is the one-seed, one-trial case of the sweep's draw.
+        seed = args.seed if args.seed is not None else _entropy_seed()
+        za, zb = laplace_from_uniform(trial_uniform_pairs([seed], 1), 1.0)[0, 0] * plan.scales
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     # Each chunk is folded in as it is read: no array of the whole file.
     n, partials = _fold(_chunks(args.input), args.lower, args.upper)
     # Exactly one mechanism invocation: no retries, or the guarantee degrades.
     # An empty file releases the noise alone: (s, n) = (0, 0).
-    noise = plan.noise(cursor)
-    estimate = float(plan.estimate(math.fsum(partials), float(n), noise.za, noise.zb)[2])
+    estimate = float(plan.estimate(math.fsum(partials), float(n), za, zb)[2])
     # No seed in the record: whoever knows it can subtract the noise.
     record = {
         "mechanism": mechanism.value,
@@ -457,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="privately estimate the mean of a file of numbers")
     p_est.add_argument("--input", required=True, help="text file, one decimal value per line")
-    p_est.add_argument("--lower", type=float, required=True, help="public lower bound")
-    p_est.add_argument("--upper", type=float, required=True, help="public upper bound")
+    p_est.add_argument("--lower", type=float, required=True, help="public lower bound" + _NEGATIVE)
+    p_est.add_argument("--upper", type=float, required=True, help="public upper bound" + _NEGATIVE)
     p_est.add_argument("--epsilon", type=float, required=True, help="privacy budget")
     p_est.add_argument(
         "--mechanism",
@@ -473,10 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="print analytic error bound table")
     p_bounds.add_argument("--epsilon", type=float, required=True)
-    p_bounds.add_argument("--lower", type=float, required=True)
-    p_bounds.add_argument("--upper", type=float, required=True)
+    p_bounds.add_argument("--lower", type=float, required=True, help="lower bound" + _NEGATIVE)
+    p_bounds.add_argument("--upper", type=float, required=True, help="upper bound" + _NEGATIVE)
     p_bounds.add_argument("--n", type=int, default=None, help="dataset size for per-dataset rows")
-    p_bounds.add_argument("--mean", type=float, default=None, help="dataset mean for per-dataset rows")
+    p_bounds.add_argument("--mean", type=float, default=None, help="dataset mean for per-dataset rows" + _NEGATIVE)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_fig = sub.add_parser("figures", help="run a Monte-Carlo sweep and write CSV")

@@ -4,13 +4,12 @@ ones-over-zeros dataset family.
 
 Determinism contract
 --------------------
-Trial t of a cell seeded with s reads doubles 2t and 2t+1 of stream (s, 0)
-(a zero gives way to the next double): its estimate is exactly
-``run_mechanism(d, eps, mechanism, Cursor(RandomStream(s, 0), 2 * t))``.
-Trial 0 is the pair a release seeded s draws.  A sweep's mechanisms share
-the seed of each (epsilon, dataset spec) pair: pair j, counted
-epsilon-major, takes SplitMix64 output j of the experiment seed
-(_derived_seed), so with one mechanism pair j is cell j.
+A release seeded s is trial 0 of stream (s, 0); trial t reads doubles 2t
+and 2t+1; a zero double gives way to the next one.  So trial t of a cell
+seeded s is ``run_mechanism`` on ``Cursor(RandomStream(s, 0), 2 * t)``.
+A sweep's mechanisms share the seed of each (epsilon, dataset spec) pair:
+pair j, counted epsilon-major, takes SplitMix64 output j of the experiment
+seed (_derived_seed), so with one mechanism pair j is cell j.
 
 Trials are evaluated as arrays, and cells that share a draw (a sweep's
 pairs of one epsilon and bounds, or the family's members) as rows of one
@@ -203,11 +202,10 @@ def squared_errors(
 ) -> np.ndarray:
     """Per-trial squared errors (estimate - true mean)^2, in trial order.
 
-    Trial t draws its noise from ``Cursor(RandomStream(seed, 0), 2 * t)``.
     ``mechanism`` is a Mechanism, evaluated for all trials in one array pass
     as a one-row case of the sweep's rows, or -- for testing the estimator
-    machinery itself -- any callable (dataset, eps, cursor) -> float, which
-    is called once per trial.
+    machinery itself -- any callable (dataset, eps, cursor) -> float, called
+    on trial t's cursor ``Cursor(RandomStream(seed, 0), 2 * t)``.
     """
     check_count("trials", trials)
     if isinstance(mechanism, str):  # a Mechanism or its name

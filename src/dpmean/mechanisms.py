@@ -397,10 +397,6 @@ class MechanismPlan:
                 ratio += self.lower
             return first, second, ratio
 
-    def noise(self, cursor: Cursor) -> NoisePair:
-        """The plan's noise pair, drawn from ``cursor``: za first, then zb."""
-        return NoisePair(*[laplace_sample(cursor, LaplaceParams(scale)) for scale in self.scales])
-
     def mean_estimate(self, d: BoundedDataset, noise: NoisePair) -> MeanEstimate:
         """One release on d, which must have the plan's bounds, with the given
         noise.  An empty d releases the noise alone: (s, n) = (0, 0)."""
@@ -447,10 +443,10 @@ def run_mechanism(
     mechanism: Mechanism,
     cursor: Cursor,
 ) -> MeanEstimate:
-    """Draw the mechanism's noise pair from ``cursor`` (za first, then zb)
-    and estimate.  The harness evaluates trial t of a cell seeded s as this
-    function on ``Cursor(RandomStream(s, 0), 2 * t)``, with arrays in place
-    of the two draws.
-    """
+    """The scalar reference: draw the noise pair from ``cursor``, za then zb,
+    by ``laplace_sample``, and estimate.  A release seeded s is trial 0 of
+    stream (s, 0); trial t reads doubles 2t and 2t+1; a zero double gives way
+    to the next one: trial t is this on ``Cursor(RandomStream(s, 0), 2 * t)``."""
     plan = mechanism_plan(mechanism, d.lower, d.upper, eps)
-    return plan.mean_estimate(d, plan.noise(cursor))
+    noise = NoisePair(*[laplace_sample(cursor, LaplaceParams(scale)) for scale in plan.scales])
+    return plan.mean_estimate(d, noise)

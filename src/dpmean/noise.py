@@ -18,10 +18,9 @@ scalars or arrays, and the scalar samplers evaluate through them, so a
 scalar draw and an array draw from the same uniform are bit-identical.
 
 ``Cursor(stream, offset)`` opens a stream past its first ``offset``
-doubles.  Trial t of a stream is the first two ``uniform_open()`` draws of
-``Cursor(stream, 2 * t)``: doubles 2t and 2t+1, a zero giving way to the
-next double, and trial 0 is the pair a release draws.
-``trial_uniform_pairs`` draws every trial of many streams as rows of one array.
+doubles.  ``trial_uniform_pairs`` draws every trial of many streams as rows
+of one array.  A release seeded s is trial 0 of stream (s, 0); trial t reads
+doubles 2t and 2t+1; a zero double gives way to the next one.
 """
 
 from __future__ import annotations

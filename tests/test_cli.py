@@ -75,16 +75,23 @@ class TestEstimate:
             assert code == 0
             assert "seed" not in json.loads(out)
 
-    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_out_of_range_seed_rejected(self, data_file, seed, capsys):
+    @pytest.mark.parametrize(
+        "seed, missing", [("-1", False), (str(2**64), False), (str(2**64), True)],
+        ids=["-1", str(2**64), "missing-input"],
+    )
+    def test_out_of_range_seed_rejected(self, data_file, seed, missing, capsys):
+        # The seed's noise is drawn before the input is read, so a missing
+        # file does not hide the bad seed.
+        path = data_file.with_name("missing.txt") if missing else data_file
         code, out, err = run(
-            ["estimate", "--input", str(data_file), "--lower", "0", "--upper", "1",
+            ["estimate", "--input", str(path), "--lower", "0", "--upper", "1",
              "--epsilon", "0.5", "--seed", seed],
             capsys,
         )
         assert code == 2
         assert out == ""
         assert "unsigned 64-bit" in err and "internal error" not in err
+        assert "cannot read" not in err
 
     def test_mechanisms_generally_differ_on_same_seed(self, tmp_path, capsys):
         path = tmp_path / "many.txt"
@@ -741,13 +748,14 @@ class TestStreamingRelease:
         assert n == size
         assert math.fsum(partials).hex() == BoundedDataset(values, lower, upper).scaled_total.hex()
 
+    @pytest.mark.parametrize("seed", [0, 123, 2**64 - 1])
     @pytest.mark.parametrize("mechanism", [m.value for m in Mechanism])
     @pytest.mark.parametrize("lower, upper", [(0.0, 1.0), (-3.0, 7.5)])
-    def test_release_equals_run_mechanism_on_the_whole_dataset(self, tmp_path, capsys, mechanism, lower, upper):
-        # The reference is the release before the fold: the file's values as
-        # one BoundedDataset, and run_mechanism on a cursor of the same seed.
-        # Fixed-width, 17-digit and ragged lines over several chunks, and an
-        # empty file.
+    def test_release_equals_run_mechanism_on_the_whole_dataset(self, tmp_path, capsys, mechanism, lower, upper, seed):
+        # The reference is the scalar release: the file's values as one
+        # BoundedDataset, and run_mechanism on a cursor of the same seed,
+        # at both ends of the seed range.  Fixed-width, 17-digit and ragged
+        # lines over several chunks, and an empty file.
         values = np.random.default_rng(5).uniform(0, 1, 30_000).tolist()
         lines = [f"{v:.9f}" for v in values[:20_000]] + [repr(v) for v in values[20_000:25_000]]
         lines += [f"{v:.6f}".rstrip("0") for v in values[25_000:]]
@@ -756,12 +764,12 @@ class TestStreamingRelease:
             path.write_text(text)
             code, out, _ = run(
                 ["estimate", "--input", str(path), f"--lower={lower}", f"--upper={upper}",
-                 "--epsilon", "0.5", "--mechanism", mechanism, "--seed", "123"],
+                 "--epsilon", "0.5", "--mechanism", mechanism, "--seed", str(seed)],
                 capsys,
             )
             assert code == 0
             d = BoundedDataset([float(line) for line in text.split()], lower, upper)
-            expected = run_mechanism(d, PrivacyBudget(0.5), Mechanism(mechanism), Cursor(RandomStream(123, 0)))
+            expected = run_mechanism(d, PrivacyBudget(0.5), Mechanism(mechanism), Cursor(RandomStream(seed, 0)))
             assert json.loads(out)["estimate"] == expected.value
 
 

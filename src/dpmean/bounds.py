@@ -24,13 +24,13 @@ from .noise import check_count
 
 
 def _over_n_eps_squared(x: float, n: int, eps: float) -> float:
-    """x / (n**2 * eps**2), that expression bit for bit wherever eps**2 is
+    """x / (n**2 * eps**2), n**2 an exact int, bit for bit wherever eps**2 is
     finite, that is for eps < 2^512.  A larger eps is first scaled into
     [1, 2) by an exact 2^-k, and the quotient by 2^-2k after, so the bound
     rounds to a small double or 0.0 where eps**2 would overflow and raise."""
     e = math.frexp(eps)[1]
     k = e - 1 if e > 512 else 0
-    return math.ldexp(x / (n**2 * math.ldexp(eps, -k) ** 2), -2 * k)
+    return math.ldexp(x / (int(n) ** 2 * math.ldexp(eps, -k) ** 2), -2 * k)
 
 
 def minmax_leading(eps: float, lower: float, upper: float) -> float:
@@ -67,6 +67,8 @@ def transformed_mse_bound_from_stats(
     PrivacyBudget(eps)
     check_bounds(lower, upper)
     check_count("dataset size", n)
+    if int(n) ** 2 >= 2**1024 - 2**970:  # from here n**2 rounds to 2^1024, past the largest double
+        raise ValueError(f"dataset size {n} is too large: its square is not a finite double")
     if not (lower <= mean <= upper):  # NaN lies in no bounds
         raise ValueError(f"mean {mean} outside bounds [{lower}, {upper}]")
     w = upper - lower

@@ -130,6 +130,18 @@ class TestPerDatasetBounds:
             with pytest.raises(ValueError, match="dataset size must be an integer >= 1"):
                 bound(n, 0.5, 0.5, 0.0, 1.0)
 
+    @pytest.mark.parametrize("n", [2**33 + 1, 2**62, 2**63 - 1])
+    def test_a_numpy_size_gives_the_bound_of_the_int(self, n):
+        # squared as an int64, each of these sizes would wrap past 2^63
+        for bound in (transformed_mse_bound_from_stats, shifted_mse_bound_from_stats):
+            assert bound(np.int64(n), 0.3, 0.5, 0.0, 1.0) == bound(n, 0.3, 0.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize("n", [2**512 - 1, 2**512, 10**300])
+    def test_a_size_whose_square_is_not_a_finite_double_is_refused(self, n):
+        for bound in (transformed_mse_bound_from_stats, shifted_mse_bound_from_stats):
+            with pytest.raises(ValueError, match=f"^dataset size {n} is too large"):
+                bound(n, 0.5, 1.0, 0.0, 1.0)
+
     @pytest.mark.parametrize("mean", [-0.5, 5.0, math.nan, math.inf])
     def test_mean_must_lie_in_bounds(self, mean):
         for bound in (transformed_mse_bound_from_stats, shifted_mse_bound_from_stats):

@@ -773,6 +773,9 @@ class TestStreamingRelease:
             assert json.loads(out)["estimate"] == expected.value
 
 
+BOUNDS_AT_N = ["bounds", "--epsilon", "1", "--lower", "0", "--upper", "1", "--mean", "0.5", "--n"]
+
+
 class TestBounds:
     def test_unit_interval_table(self, capsys):
         code, out, _ = run(["bounds", "--epsilon", "0.5", "--lower", "0", "--upper", "1"], capsys)
@@ -831,6 +834,18 @@ class TestBounds:
         code, out, err = run(["bounds", *argv], capsys)
         assert code == 2 and out == ""
         assert message in err and "internal error" not in err
+
+    def test_a_dataset_size_below_2_to_the_512_is_taken(self, capsys):
+        code, out, err = run(BOUNDS_AT_N + [str(2**511)], capsys)
+        assert code == 0 and err == ""
+        assert out.endswith(f"{'':<11} 2.0\n  {'normalized (x n^2), transformed':<38} {'':<11} 1.0\n")
+
+    @pytest.mark.parametrize("n", [2**512 - 1, 2**512], ids=["2^512-1", "2^512"])
+    def test_a_dataset_size_whose_square_overflows_is_refused(self, n, capsys):
+        # (2^512 - 1)^2 rounds to 2^1024 as well: the square is what overflows
+        code, out, err = run(BOUNDS_AT_N + [str(n)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: dataset size {n} is too large: its square is not a finite double\n"
 
 
 class TestFigures:
@@ -1100,6 +1115,55 @@ class TestGeometry:
         lines = [l for l in out_path.read_text().strip().split("\n") if l.startswith("complement_r1")]
         verts = [(float(l.split(",")[2]), float(l.split(",")[3])) for l in lines]
         assert verts == [(1.0, 1.0), (0.0, 1.0), (-1.0, -1.0), (0.0, -1.0)]
+
+
+def files_in(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+class TestRepeatedMain:
+    """``main`` builds its parser once per process and reuses it: each call
+    must act as the first call of a fresh interpreter."""
+
+    def test_each_call_matches_a_fresh_interpreter(self, tmp_path, data_file, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # usage and --help wrap to the terminal width
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        calls = [
+            (["estimate", "--lower", "0"], 2),
+            (["--help"], 0),
+            (["--version"], 0),
+            (["estimate", "--input", str(data_file), "--lower", "0", "--upper", "1", "--epsilon", "0.5",
+              "--seed", "7"], 0),
+            (["bounds", "--epsilon", "0.5", "--lower", "0", "--upper", "1", "--n", "1000", "--mean", "0.25"], 0),
+            (["figures", "--preset", "fig2b", "--trials", "50", "--seed", "7", "--output", "fig2b.csv"], 0),
+            (["geometry"], 0),
+        ]
+        for argv, code in calls:
+            done = subprocess.run(
+                [sys.executable, "-m", "dpmean.cli", *argv], cwd=fresh, env=env, capture_output=True, timeout=60
+            )
+            got = main(argv)
+            out, err = capsys.readouterr()
+            assert (got, out.encode(), err.encode()) == (done.returncode, done.stdout, done.stderr), argv
+            assert got == code and (out or err)
+            assert files_in(here) == files_in(fresh), argv
+        assert sorted(files_in(here)) == ["fig2b.csv", "fig2b.csv.meta.json", "polygons.csv"]
+
+    def test_a_changed_build_parser_result_leaves_main_alone(self, tmp_path, capsys):
+        parser = cli.build_parser()
+        assert parser is not cli.build_parser()
+        parser.add_argument("--extra")
+        argv = ["--extra=1", "geometry", "--output", str(tmp_path / "polys.csv")]
+        assert parser.parse_args(argv).extra == "1"
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --extra=1" in err
+        assert not (tmp_path / "polys.csv").exists()
 
 
 class TestScripts:
